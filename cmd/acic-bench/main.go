@@ -122,7 +122,6 @@ func runSampleValidate(ctx context.Context, sim *cliutil.SimFlags, n int, apps s
 		s.GangSize = sim.SuiteGangSize(s.N)
 		s.GangWindow, _ = sim.ResolveGangWindow() // validated by main
 		s.ArtifactDir = artifactDir
-		s.PrepareWindow = sim.PrepareWindow
 		if sampled {
 			s.SampleSets = sampleSets
 			s.SampleOffset = sim.SampleOffset
@@ -232,7 +231,6 @@ func main() {
 		benchPfs     = flag.String("bench-prefetchers", "none,fdp", "prefetcher platforms for -bench-json (comma-separated)")
 		benchRepeats = flag.Int("bench-repeats", 3, "timed repetitions per -bench-json cell (best kept)")
 		benchSweeps  = flag.Bool("bench-sweeps", true, "also measure per-prefetcher gang-vs-serial sweep wall-clocks in -bench-json mode")
-		benchPrepare = flag.Bool("bench-prepare-sweeps", true, "also measure batch-vs-streamed cold-prepare wall-clock and peak heap (at n and 4n, scratch stores) in -bench-json mode")
 		benchDist    = flag.Bool("bench-distributed", false, "also measure the distributed sweep in -bench-json mode: the full app x scheme grid single-process vs coordinator + 1/2/4 workers over a cold shared store, per-cell results verified identical (adds several cold full-grid lanes — minutes)")
 
 		compare    = flag.String("compare", "", "baseline bench JSON: compare per-cell ns/access against it and exit (new side: -compare-to, or the report just measured by -bench-json)")
@@ -347,8 +345,7 @@ func main() {
 
 	if *benchJSON != "" {
 		cfg := perf.Config{Context: ctx, App: *benchApp, N: *n, Repeats: *benchRepeats,
-			ArtifactDir: sim.ArtifactDir, PrepareWindow: sim.PrepareWindow,
-			PrepareSweeps: *benchPrepare, DistributedSweeps: *benchDist}
+			ArtifactDir: sim.ArtifactDir, DistributedSweeps: *benchDist}
 		if ss, err := sim.ResolveSampleSets(); err != nil {
 			fmt.Fprintf(os.Stderr, "acic-bench: %v\n", err)
 			os.Exit(1)
@@ -385,9 +382,6 @@ func main() {
 		}
 		if st := rep.CrossSweepTable(); st != nil {
 			fmt.Printf("=== cross-prefetcher sweeps: serial vs gang (fixed / auto window) wall-clock per row (best of %d)\n%s", *benchRepeats, st)
-		}
-		if st := rep.PrepareSweepTable(); st != nil {
-			fmt.Printf("=== prepare sweeps: batch vs streamed cold prepare (scratch stores)\n%s", st)
 		}
 		if st := rep.DistributedSweepTable(); st != nil {
 			fmt.Printf("=== distributed sweeps: single-process vs coordinator + workers, cold shared store per lane\n%s", st)
@@ -459,7 +453,6 @@ func main() {
 	suite.GangWindow, _ = sim.ResolveGangWindow() // validated above
 	suite.CacheDir = *cacheDir
 	suite.ArtifactDir = sim.ArtifactDir
-	suite.PrepareWindow = sim.PrepareWindow
 	suite.SampleSets = sampleSets
 	suite.SampleOffset = sim.SampleOffset
 	if sampleSets > 0 {

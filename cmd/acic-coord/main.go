@@ -111,12 +111,11 @@ func main() {
 	}
 
 	cfg := distrib.Config{
-		N:             experiments.NewSuite(*n).N, // resolves 0 -> default
-		SampleSets:    sampleSets,
-		SampleOffset:  sim.SampleOffset,
-		GangWindow:    gangWindow,
-		PrepareWindow: sim.PrepareWindow,
-		StoreURL:      advertised,
+		N:            experiments.NewSuite(*n).N, // resolves 0 -> default
+		SampleSets:   sampleSets,
+		SampleOffset: sim.SampleOffset,
+		GangWindow:   gangWindow,
+		StoreURL:     advertised,
 	}
 	if *apps != "" {
 		cfg.Apps = strings.Split(*apps, ",")
@@ -166,7 +165,6 @@ func main() {
 	suite.GangWindow = cfg.GangWindow
 	suite.SampleSets = cfg.SampleSets
 	suite.SampleOffset = cfg.SampleOffset
-	suite.PrepareWindow = cfg.PrepareWindow
 	suite.Remote = coord
 	if *storeURL != "" {
 		suite.CacheDir, suite.ArtifactDir = *storeURL, *storeURL

@@ -91,7 +91,6 @@ func main() {
 	suite.GangWindow = gangWindow
 	suite.SampleSets = sampleSets
 	suite.SampleOffset = sim.SampleOffset
-	suite.PrepareWindow = sim.PrepareWindow
 	suite.CacheDir = *cacheDir
 	suite.ArtifactDir = sim.ArtifactDir
 	if *storeURL != "" {

@@ -54,7 +54,7 @@ func fail(format string, args ...any) {
 
 // footprint counts distinct blocks in the collapsed access sequence —
 // the same set trace.Trace.Footprint reports, but computable for
-// streamed-prepared workloads that carry no Inst records.
+// prepared workloads, which carry no Inst records.
 func footprint(blocks []uint64) int {
 	seen := make(map[uint64]struct{}, len(blocks)/8+1)
 	for _, b := range blocks {
@@ -98,7 +98,7 @@ func main() {
 	}
 	pool := engine.NewPool(sim.Workers)
 	pipeline, err := experiments.NewPipeline(experiments.PipelineConfig{
-		N: *n, Dir: sim.ArtifactDir, Pool: pool, Window: sim.PrepareWindow,
+		N: *n, Dir: sim.ArtifactDir, Pool: pool,
 	})
 	if err != nil {
 		fail("%v", err)

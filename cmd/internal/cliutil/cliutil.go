@@ -47,16 +47,15 @@ const AutoGangWindow = -1
 
 // SimFlags are the shared engine/storage knobs after parsing.
 type SimFlags struct {
-	Workers       int
-	Gang          string
-	GangSize      int
-	GangWindow    string
-	ArtifactDir   string
-	PrepareWindow int
-	SampleSets    int
-	SampleStride  int
-	SampleOffset  int
-	FaultSpec     string
+	Workers      int
+	Gang         string
+	GangSize     int
+	GangWindow   string
+	ArtifactDir  string
+	SampleSets   int
+	SampleStride int
+	SampleOffset int
+	FaultSpec    string
 }
 
 // RegisterSim declares the shared simulation flags on fs (usually
@@ -72,7 +71,6 @@ func RegisterSim(fs *flag.FlagSet) *SimFlags {
 	fs.IntVar(&f.SampleStride, "sample-stride", 0, "set-sampled fast mode by stride: simulate one in this many set constituencies (equivalent to -sample-sets 64/stride; 0 = full simulation)")
 	fs.IntVar(&f.SampleOffset, "sample-offset", 0, "sampled set constituency to simulate, in [1,stride) (with -sample-sets/-sample-stride; 0 = derive per workload from the trace digest — constituency 0 is alignment-biased and never used)")
 	RegisterArtifactDir(fs, &f.ArtifactDir)
-	RegisterPrepareWindow(fs, &f.PrepareWindow)
 	RegisterFaultSpec(fs, &f.FaultSpec)
 	return f
 }
@@ -97,20 +95,6 @@ func (f *SimFlags) InstallFaults() error {
 // the whole SimFlags set.
 func InstallFaultSpec(spec string) error {
 	return faults.Install(spec)
-}
-
-// RegisterPrepareWindow declares -prepare-window on fs (shared with the
-// acic-trace subcommands). The default comes from ACIC_PREPARE_WINDOW so
-// CI tiers can switch the prepare mode without editing every invocation.
-func RegisterPrepareWindow(fs *flag.FlagSet, dst *int) {
-	def := 0
-	if s := os.Getenv("ACIC_PREPARE_WINDOW"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil {
-			def = n
-		}
-	}
-	fs.IntVar(dst, "prepare-window", def,
-		"stream cold workload preparation in windows of this many instructions: generation, branch annotation, successor and latency production advance together, holding O(window) instruction records instead of the whole trace; artifacts and results are byte-identical to batch mode (0 = batch prepare; default from ACIC_PREPARE_WINDOW)")
 }
 
 // ResolveSampleSets reduces the two sampling flags to one sampled-set
@@ -177,9 +161,6 @@ func (f *SimFlags) Validate() error {
 	}
 	if f.SampleOffset < 0 {
 		return fmt.Errorf("-sample-offset must be >= 0, got %d", f.SampleOffset)
-	}
-	if f.PrepareWindow < 0 {
-		return fmt.Errorf("-prepare-window must be >= 0 (0 = batch prepare), got %d", f.PrepareWindow)
 	}
 	if err := faults.Validate(f.FaultSpec); err != nil {
 		return fmt.Errorf("-fault-spec: %w", err)

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"log"
 
+	"acic/internal/analysis"
 	"acic/internal/experiments"
 	"acic/internal/workload"
 )
@@ -23,7 +24,7 @@ func main() {
 	// the TAGE/BTB/RAS front end, and builds the next-use oracle.
 	w := experiments.Prepare(prof, 400_000)
 	fmt.Printf("workload %s: %d instructions, %d-block code footprint\n",
-		prof.Name, w.Trace.Len(), w.Trace.Footprint())
+		prof.Name, w.Prog.Len(), analysis.WorkingSet(w.Blocks, 1))
 
 	opts := experiments.DefaultOptions() // FDP platform, 10% warmup
 	base, err := experiments.Run(w, experiments.Baseline, opts)

@@ -129,8 +129,8 @@ func (b *ProgramBuilder) Finish() *Program {
 // a block access advance through Blocks, the rest repeat the current
 // block. For a batch-built Program this equals analysis.InstBlockRefs of
 // the source trace; it exists so the figure analyses that need
-// instruction-granularity references (Fig 1a/1b) work on streamed
-// Programs, which do not retain Inst records.
+// instruction-granularity references (Fig 1a/1b) work on prepared
+// workloads, whose Programs do not retain Inst records.
 func (p *Program) BlockRefs() []uint64 {
 	out := make([]uint64, len(p.Desc))
 	bi := -1

@@ -147,7 +147,6 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	s.SampleOffset = cfg.SampleOffset
 	s.GangSize = cfg.GangSize
 	s.GangWindow = cfg.GangWindow
-	s.PrepareWindow = cfg.PrepareWindow
 	s.Context = ctx
 	if err := s.CacheError(); err != nil {
 		return fmt.Errorf("distrib: worker %s: shared store: %w", name, err)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"acic/internal/analysis"
@@ -15,59 +14,47 @@ import (
 	"acic/internal/workload"
 )
 
-// stageRetry is the retry policy every pipeline stage group runs under:
-// transient failures (injected faults, MarkTransient-wrapped errors) are
-// re-attempted with jittered backoff; deterministic failures — a bad
-// profile, a genuine panic in derivation — fail the stage immediately.
-// Stage computes are idempotent (every fault site fires before state is
-// mutated), so re-entry is always safe.
-func stageRetry() engine.RetryPolicy { return engine.DefaultRetry() }
-
-// Pipeline is the staged workload-preparation pipeline: the monolithic
-// Prepare split into four content-addressed stages,
+// Pipeline prepares workloads and persists what preparing them derives as
+// four content-addressed stage artifacts,
 //
-//	trace   — synthetic trace generation (workload.Generate)
-//	program — branch-predictor replay + descriptor derivation (cpu.Program)
-//	nextat  — next-use successor array (analysis.NextUseArray)
-//	datalat — data-side latency timeline (Program.EnsureDataLatencies)
+//	trace   — the synthetic instruction stream (one packed INSZ section)
+//	program — branch annotations, descriptors, block sequence (ANNO+DESC+BLKS)
+//	nextat  — next-use successor array (NXTA)
+//	datalat — data-side latency timeline (DLAT)
 //
-// each memoized with per-key singleflight and, when a store directory is
-// configured, persisted through the trace codec's v2 container format
-// (sections INST / ANNO+DESC+BLKS / NXTA / DLAT). Stage keys share the
-// result cache's derivation (keys.go: schema version, simulator-config
+// in the trace codec's v2 container format. A cold workload is prepared
+// by one fused windowed walk (stream.go) that produces all four at once;
+// a warm one is decoded from the store (loadWorkload). Stage keys share
+// the result cache's derivation (keys.go: schema version, simulator-config
 // digest, profile digest, trace length), so a config edit invalidates
 // prepared artifacts and cached results together. Artifacts are
 // best-effort: an unreadable, truncated, corrupt, or version-mismatched
-// entry is a miss and the stage regenerates (and rewrites) it — the store
-// can only make preparation faster, never wrong.
+// entry is a miss — corrupt ones are quarantined — and one walk rewrites
+// all four, so the store can only make preparation faster, never wrong.
 //
-// Concurrent workers in one process share a single materialization per
-// stage through the groups' singleflight; concurrent processes share
-// through the store's atomic temp-file-and-rename writes.
+// Concurrent workers in one process share a single preparation per
+// workload through the workload group's singleflight; concurrent
+// processes share through the store's atomic temp-file-and-rename writes.
+// Every prepared Workload has the same shape, cold or warm: the arrays the
+// simulator reads, and a Trace that names the workload but carries no
+// instruction records.
 type Pipeline struct {
 	n      int
-	window int
 	memCfg mem.Config
 	lookup func(string) (workload.Profile, bool)
 
-	traces    *engine.Group[string, *trace.Trace]
-	programs  *engine.Group[string, *cpu.Program]
-	nextats   *engine.Group[string, []int64]
-	datalats  *engine.Group[string, []int16]
 	workloads *engine.Group[string, *Workload]
 
-	// Typed store handles, retained alongside the groups' Cache fields so
-	// the streamed prepare (stream.go) can probe warmth (Has) and write
-	// artifacts directly — it bypasses the stage groups entirely, fusing
-	// all four passes into one windowed walk. All nil when no store is
-	// configured.
+	// Stage stores, all nil when no store is configured. Entries are
+	// written section by section through streamArtifact, so the stores
+	// only decode.
 	traceStore   *engine.DiskCache[string, *trace.Trace]
-	programStore *engine.DiskCache[string, *cpu.Program]
+	programStore *engine.DiskCache[string, programParts]
 	nextatStore  *engine.DiskCache[string, []int64]
 	datalatStore *engine.DiskCache[string, []int16]
 
-	streamed        atomic.Int64
-	streamFallbacks atomic.Int64 // streamed prepares that degraded to batch
+	walked atomic.Int64 // workloads prepared by the fused walk
+	loaded atomic.Int64 // workloads decoded from the store
 }
 
 // PipelineConfig configures NewPipeline.
@@ -77,23 +64,16 @@ type PipelineConfig struct {
 	// Dir enables the on-disk artifact store in that directory ("" =
 	// in-memory memoization only).
 	Dir string
-	// Pool executes batch work (Warm, Require); nil creates a default
-	// pool. Demand-driven stage computation (Workload) runs inline on the
-	// calling goroutine either way.
+	// Pool executes batch work (Require); nil creates a default pool.
+	// Demand-driven preparation (Workload) runs inline on the calling
+	// goroutine either way.
 	Pool *engine.Pool
 	// Lookup resolves app names to profiles (nil = workload.ByName).
 	Lookup func(string) (workload.Profile, bool)
-	// Window, when > 0, turns cold preparation into the windowed streaming
-	// pipeline: generation, branch annotation, descriptor derivation, the
-	// successor array, and the data-latency replay advance together Window
-	// instructions at a time, so peak memory is O(Window) instruction
-	// records instead of O(N). Artifacts land in the store byte-identical
-	// to the batch path's; warm loads are unaffected. 0 = batch prepare.
-	Window int
 }
 
-// NewPipeline builds the staged pipeline. When the artifact store cannot
-// be opened the returned pipeline still works (stages regenerate in
+// NewPipeline builds the pipeline. When the artifact store cannot be
+// opened the returned pipeline still works (workloads are prepared in
 // memory) and the error reports why persistence is off — callers that
 // want the store to be load-bearing should fail on it.
 func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
@@ -106,43 +86,13 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	if cfg.Lookup == nil {
 		cfg.Lookup = workload.ByName
 	}
-	pl := &Pipeline{n: cfg.N, window: cfg.Window, memCfg: mem.DefaultConfig(), lookup: cfg.Lookup}
-
-	pl.traces = engine.NewGroup(cfg.Pool, func(app string) (*trace.Trace, error) {
-		prof, ok := pl.lookup(app)
-		if !ok {
-			return nil, fmt.Errorf("experiments: unknown workload %q", app)
-		}
-		return workload.Generate(prof, pl.n), nil
-	})
-	pl.programs = engine.NewGroup(cfg.Pool, func(app string) (*cpu.Program, error) {
-		tr, err := pl.traces.Get(app)
-		if err != nil {
-			return nil, err
-		}
-		return cpu.NewProgram(tr, branch.NewFrontEnd().Annotate(tr)), nil
-	})
-	pl.nextats = engine.NewGroup(cfg.Pool, func(app string) ([]int64, error) {
-		prog, err := pl.programs.Get(app)
-		if err != nil {
-			return nil, err
-		}
-		return analysis.NextUseArray(prog.Blocks), nil
-	})
-	pl.datalats = engine.NewGroup(cfg.Pool, func(app string) ([]int16, error) {
-		prog, err := pl.programs.Get(app)
-		if err != nil {
-			return nil, err
-		}
-		prog.EnsureDataLatencies(pl.memCfg)
-		return prog.DataLat, nil
-	})
-	pl.workloads = engine.NewGroup(cfg.Pool, pl.assemble)
-	pl.traces.Retry = stageRetry()
-	pl.programs.Retry = stageRetry()
-	pl.nextats.Retry = stageRetry()
-	pl.datalats.Retry = stageRetry()
-	pl.workloads.Retry = stageRetry()
+	pl := &Pipeline{n: cfg.N, memCfg: mem.DefaultConfig(), lookup: cfg.Lookup}
+	pl.workloads = engine.NewGroup(cfg.Pool, pl.prepare)
+	// Transient failures (injected faults, MarkTransient-wrapped errors)
+	// are re-attempted with jittered backoff; deterministic ones — a bad
+	// profile, a genuine panic — fail the workload immediately. A retried
+	// walk starts from scratch and has written nothing yet.
+	pl.workloads.Retry = engine.DefaultRetry()
 
 	var err error
 	if cfg.Dir != "" {
@@ -159,31 +109,22 @@ func (pl *Pipeline) stageKey(stage string) func(string) string {
 	}
 }
 
-// openStore attaches the four stage caches to dir. All artifacts use the
+// openStore attaches the four stage stores to dir. All artifacts use the
 // trace codec's container format with the ".actr" extension, so
 // `acic-trace inspect` can describe any file in the store.
 func (pl *Pipeline) openStore(dir string) error {
-	traces, err := engine.NewCodecDiskCache(dir, ".actr", pl.stageKey("trace"),
-		func(t *trace.Trace) ([]byte, error) {
-			var b bytes.Buffer
-			err := trace.Write(&b, t)
-			return b.Bytes(), err
-		},
+	traces, err := engine.NewCodecDiskCache(dir, ".actr", pl.stageKey("trace"), nil,
 		func(_ string, data []byte) (*trace.Trace, error) {
 			return trace.Read(bytes.NewReader(data))
 		})
 	if err != nil {
 		return err
 	}
-	programs, err := engine.NewCodecDiskCache(dir, ".actr", pl.stageKey("program"),
-		encodeProgram, pl.decodeProgram)
+	programs, err := engine.NewCodecDiskCache(dir, ".actr", pl.stageKey("program"), nil, decodeProgram)
 	if err != nil {
 		return err
 	}
-	nextats, err := engine.NewCodecDiskCache(dir, ".actr", pl.stageKey("nextat"),
-		func(v []int64) ([]byte, error) {
-			return encodeSection("nextat", trace.SecNextAt, trace.EncodeInt64sDelta(v))
-		},
+	nextats, err := engine.NewCodecDiskCache(dir, ".actr", pl.stageKey("nextat"), nil,
 		func(_ string, data []byte) ([]int64, error) {
 			payload, err := decodeSection(data, trace.SecNextAt)
 			if err != nil {
@@ -194,10 +135,7 @@ func (pl *Pipeline) openStore(dir string) error {
 	if err != nil {
 		return err
 	}
-	datalats, err := engine.NewCodecDiskCache(dir, ".actr", pl.stageKey("datalat"),
-		func(v []int16) ([]byte, error) {
-			return encodeSection("datalat", trace.SecDataLat, trace.EncodeInt16s(v))
-		},
+	datalats, err := engine.NewCodecDiskCache(dir, ".actr", pl.stageKey("datalat"), nil,
 		func(_ string, data []byte) ([]int16, error) {
 			payload, err := decodeSection(data, trace.SecDataLat)
 			if err != nil {
@@ -208,70 +146,41 @@ func (pl *Pipeline) openStore(dir string) error {
 	if err != nil {
 		return err
 	}
-	pl.traces.Cache = traces
-	pl.programs.Cache = programs
-	pl.nextats.Cache = nextats
-	pl.datalats.Cache = datalats
-	pl.traceStore = traces
-	pl.programStore = programs
-	pl.nextatStore = nextats
-	pl.datalatStore = datalats
+	pl.traceStore, pl.programStore, pl.nextatStore, pl.datalatStore = traces, programs, nextats, datalats
 	return nil
 }
 
-// encodeProgram persists the expensive derived arrays of a Program — the
-// branch annotations, descriptor bytes, and collapsed block sequence — as
-// codec v2 sections. The trace itself lives in the trace-stage artifact;
-// MemBlk and the run-ahead bitmap are cheap local recomputes.
-func encodeProgram(p *cpu.Program) ([]byte, error) {
-	var b bytes.Buffer
-	err := trace.WriteContainer(&b, p.Trace.Name, []trace.Section{
-		{Tag: trace.SecAnnot, Data: p.AnnotationBytes()},
-		{Tag: trace.SecDesc, Data: p.Desc},
-		{Tag: trace.SecBlocks, Data: trace.EncodeUint64sDelta(p.Blocks)},
-	})
-	return b.Bytes(), err
+// programParts is a decoded program artifact: the arrays cpu.NewProgram
+// derives from the trace. MemBlk and the run-ahead bitmap are cheap local
+// recomputes, so they are not persisted.
+type programParts struct {
+	ann    []branch.Annotation
+	desc   []uint8
+	blocks []uint64
 }
 
-// decodeProgram rebuilds a Program from its persisted sections against the
-// trace-stage artifact (loaded or regenerated through the trace group).
-func (pl *Pipeline) decodeProgram(app string, data []byte) (*cpu.Program, error) {
-	tr, err := pl.traces.Get(app)
-	if err != nil {
-		return nil, err
-	}
+// decodeProgram parses a program artifact's ANNO, DESC and BLKS sections.
+func decodeProgram(_ string, data []byte) (programParts, error) {
 	_, secs, err := trace.ReadContainer(bytes.NewReader(data))
 	if err != nil {
-		return nil, err
+		return programParts{}, err
 	}
-	annData, ok := trace.FindSection(secs, trace.SecAnnot)
-	if !ok {
-		return nil, fmt.Errorf("experiments: program artifact missing %s section", trace.SecAnnot)
+	var payloads [3][]byte
+	for i, tag := range []string{trace.SecAnnot, trace.SecDesc, trace.SecBlocks} {
+		var ok bool
+		if payloads[i], ok = trace.FindSection(secs, tag); !ok {
+			return programParts{}, fmt.Errorf("experiments: program artifact missing %s section", tag)
+		}
 	}
-	descData, ok := trace.FindSection(secs, trace.SecDesc)
-	if !ok {
-		return nil, fmt.Errorf("experiments: program artifact missing %s section", trace.SecDesc)
-	}
-	blkData, ok := trace.FindSection(secs, trace.SecBlocks)
-	if !ok {
-		return nil, fmt.Errorf("experiments: program artifact missing %s section", trace.SecBlocks)
-	}
-	ann, err := cpu.AnnotationsFromBytes(annData)
+	ann, err := cpu.AnnotationsFromBytes(payloads[0])
 	if err != nil {
-		return nil, err
+		return programParts{}, err
 	}
-	blocks, err := trace.DecodeUint64sDelta(blkData)
+	blocks, err := trace.DecodeUint64sDelta(payloads[2])
 	if err != nil {
-		return nil, err
+		return programParts{}, err
 	}
-	return cpu.NewProgramFromParts(tr, ann, descData, blocks)
-}
-
-// encodeSection wraps one typed payload in a single-section container.
-func encodeSection(name, tag string, payload []byte) ([]byte, error) {
-	var b bytes.Buffer
-	err := trace.WriteContainer(&b, name, []trace.Section{{Tag: tag, Data: payload}})
-	return b.Bytes(), err
+	return programParts{ann: ann, desc: payloads[1], blocks: blocks}, nil
 }
 
 // decodeSection unwraps a single-section container.
@@ -287,52 +196,50 @@ func decodeSection(data []byte, tag string) ([]byte, error) {
 	return payload, nil
 }
 
-// assemble builds the Workload view over the staged artifacts: the shared
-// Program with its adopted latency timeline, the successor array, and the
-// in-memory next-use oracle (an index over the block sequence, always
-// rebuilt — it is not an artifact).
-func (pl *Pipeline) assemble(app string) (*Workload, error) {
+// prepare is the workload group's compute: decode the four artifacts when
+// the store holds them all, otherwise walk.
+func (pl *Pipeline) prepare(app string) (*Workload, error) {
 	prof, ok := pl.lookup(app)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown workload %q", app)
 	}
-	// Windowed mode streams cold preparation; a fully warm store still
-	// takes the batch load path below (loading is already cheap and keeps
-	// the zero-regeneration warm semantics byte-for-byte identical).
-	//
-	// A streamed prepare that fails mid-window — panic or error, injected
-	// or genuine — degrades to the batch path instead of failing the
-	// workload: the two paths produce byte-identical workloads (DESIGN.md
-	// §12), so falling back trades the O(window) memory bound for a
-	// completed prepare. The aborted stream leaves nothing behind (its
-	// partial store entries are discarded under tmp/).
-	if pl.window > 0 && !pl.storeWarm(app) {
-		w, err := engine.Guard("stream:"+app, false, func() (*Workload, error) {
-			return pl.assembleStreamed(app, prof)
-		})
-		if err == nil {
-			return w, nil
-		}
-		pl.streamFallbacks.Add(1)
+	if w := pl.loadWorkload(app, prof); w != nil {
+		return w, nil
 	}
-	prog, err := pl.programs.Get(app)
-	if err != nil {
-		return nil, err
+	return pl.walk(app, prof)
+}
+
+// loadWorkload decodes all four stage artifacts and reassembles the
+// workload, or returns nil when any is missing, corrupt (the store
+// quarantines it), or inconsistent with the others — the caller then walks
+// and rewrites all four. Every artifact is loaded even after a miss, so
+// each corrupt one is quarantined. The decoded trace's instruction records
+// are dropped once the program has derived MemBlk from them, so a loaded
+// workload has the same shape as a walked one.
+func (pl *Pipeline) loadWorkload(app string, prof workload.Profile) *Workload {
+	if pl.traceStore == nil {
+		return nil
 	}
-	nextAt, err := pl.nextats.Get(app)
-	if err != nil {
-		return nil, err
+	tr, okT := pl.traceStore.Load(app)
+	parts, okP := pl.programStore.Load(app)
+	nextAt, okN := pl.nextatStore.Load(app)
+	lat, okL := pl.datalatStore.Load(app)
+	if !okT || !okP || !okN || !okL {
+		return nil
 	}
-	lat, err := pl.datalats.Get(app)
-	if err != nil {
-		return nil, err
+	prog, err := cpu.NewProgramFromParts(tr, parts.ann, parts.desc, parts.blocks)
+	if err != nil || len(nextAt) != len(prog.Blocks) || prog.AdoptDataLatencies(lat, pl.memCfg) != nil {
+		return nil
 	}
-	if err := prog.AdoptDataLatencies(lat, pl.memCfg); err != nil {
-		return nil, err
-	}
-	if len(nextAt) != len(prog.Blocks) {
-		return nil, fmt.Errorf("experiments: successor array length %d != %d block accesses", len(nextAt), len(prog.Blocks))
-	}
+	tr.Insts = nil
+	pl.loaded.Add(1)
+	return newWorkload(prof, prog, nextAt)
+}
+
+// newWorkload builds the Workload view over a prepared program and its
+// successor array, plus the in-memory next-use oracle (an index over the
+// block sequence, always rebuilt — it is not an artifact).
+func newWorkload(prof workload.Profile, prog *cpu.Program, nextAt []int64) *Workload {
 	return &Workload{
 		Profile: prof,
 		Prog:    prog,
@@ -341,113 +248,66 @@ func (pl *Pipeline) assemble(app string) (*Workload, error) {
 		Blocks:  prog.Blocks,
 		Oracle:  analysis.NewNextUseOracle(prog.Blocks),
 		NextAt:  nextAt,
-	}, nil
+	}
 }
 
-// Workload returns the fully prepared workload for an app, materializing
-// (or loading) every stage on demand.
+// Workload returns the prepared workload for an app, loading or walking it
+// on demand.
 func (pl *Pipeline) Workload(app string) (*Workload, error) {
 	return pl.workloads.Get(app)
 }
 
-// ForgetTransient drops any stage memo for app whose outcome is a
+// ForgetTransient drops app's workload memo when its outcome is a
 // transient error, so the next demand re-prepares instead of replaying
-// the failure. Successful stages and deterministic errors stand. Long-
-// lived processes call this when a cell fails transiently: the failure
-// may live in the prepare pipeline rather than the cell compute, and
-// forgetting only the cell would replay the poisoned stage forever.
+// the failure. Successes and deterministic errors stand. Long-lived
+// processes call this when a cell fails transiently: the failure may live
+// in preparation rather than the cell compute, and forgetting only the
+// cell would replay the poisoned workload forever.
 func (pl *Pipeline) ForgetTransient(app string) bool {
-	dropped := pl.workloads.ForgetTransient(app)
-	dropped = pl.traces.ForgetTransient(app) || dropped
-	dropped = pl.programs.ForgetTransient(app) || dropped
-	dropped = pl.nextats.ForgetTransient(app) || dropped
-	dropped = pl.datalats.ForgetTransient(app) || dropped
-	return dropped
+	return pl.workloads.ForgetTransient(app)
 }
 
-// ForgetAllTransient sweeps transiently failed memos from every stage
-// for every app, returning how many entries were dropped.
+// ForgetAllTransient sweeps transiently failed workload memos, returning
+// how many entries were dropped.
 func (pl *Pipeline) ForgetAllTransient() int {
-	n := pl.workloads.ForgetAllTransient()
-	n += pl.traces.ForgetAllTransient()
-	n += pl.programs.ForgetAllTransient()
-	n += pl.nextats.ForgetAllTransient()
-	n += pl.datalats.ForgetAllTransient()
-	return n
+	return pl.workloads.ForgetAllTransient()
 }
 
 // Require prepares the named workloads in parallel on the pool,
-// deduplicated against earlier work. Must not be called from inside a
-// pool task (use Workload, which computes inline).
+// deduplicated against earlier work — with a store, this is what
+// `acic-trace warm` runs to fill it. Must not be called from inside a pool
+// task (use Workload, which computes inline).
 func (pl *Pipeline) Require(apps ...string) error {
 	return pl.workloads.Require(apps...)
-}
-
-// Warm materializes all four stage artifacts for the named apps without
-// assembling workloads — the `acic-trace warm` path that fills the store
-// for later runs. Every stage is attempted for every app. The two leaf
-// stages are required concurrently (both transitively materialize trace
-// and program, deduplicated by singleflight), so one app's successor
-// array never waits on another app's data-hierarchy replay.
-func (pl *Pipeline) Warm(apps ...string) error {
-	if pl.window > 0 {
-		// Streamed preparation produces all four artifacts in one fused
-		// pass per workload, so warming is just requiring the workloads.
-		return pl.workloads.Require(apps...)
-	}
-	var wg sync.WaitGroup
-	var dlErr, naErr error
-	wg.Add(2)
-	go func() { defer wg.Done(); dlErr = pl.datalats.Require(apps...) }()
-	go func() { defer wg.Done(); naErr = pl.nextats.Require(apps...) }()
-	wg.Wait()
-	if dlErr != nil {
-		return dlErr
-	}
-	return naErr
 }
 
 // StageNames lists the pipeline stages in dependency order.
 func StageNames() []string { return []string{"trace", "program", "nextat", "datalat"} }
 
-// StageStats reports one stage's engine counters: artifacts regenerated by
-// its compute function vs. served from the persistent store.
+// StageStats reports one stage's counters: artifacts regenerated vs.
+// served from the persistent store.
 type StageStats struct {
 	Stage     string `json:"stage"`
 	Computed  int64  `json:"computed"`
 	FromStore int64  `json:"from_store"`
 }
 
-// Stats returns per-stage counters in dependency order. A warm store shows
-// Computed == 0 on every stage; that is what "skipping the prepare phase"
-// means and what the regression tests assert.
+// Stats returns per-stage counters in dependency order. A walk produces
+// every stage, so it counts one computed per stage; a warm load counts
+// one from_store per stage. A warm store shows Computed == 0 on every
+// stage; that is what "skipping the prepare phase" means and what the
+// regression tests assert.
 func (pl *Pipeline) Stats() []StageStats {
-	stats := []StageStats{
-		{"trace", pl.traces.Computed(), pl.traces.CacheHits()},
-		{"program", pl.programs.Computed(), pl.programs.CacheHits()},
-		{"nextat", pl.nextats.Computed(), pl.nextats.CacheHits()},
-		{"datalat", pl.datalats.Computed(), pl.datalats.CacheHits()},
-	}
-	if pl.window > 0 {
-		stats = append(stats, StageStats{Stage: "streamed", Computed: pl.streamed.Load()})
+	stats := make([]StageStats, 0, 4)
+	for _, stage := range StageNames() {
+		stats = append(stats, StageStats{stage, pl.walked.Load(), pl.loaded.Load()})
 	}
 	return stats
 }
 
-// Streamed returns how many workloads were prepared through the fused
-// windowed pipeline (always 0 in batch mode or on a warm store).
-func (pl *Pipeline) Streamed() int64 { return pl.streamed.Load() }
-
-// StreamFallbacks returns how many streamed prepares failed mid-window
-// and degraded to the batch path.
-func (pl *Pipeline) StreamFallbacks() int64 { return pl.streamFallbacks.Load() }
-
-// Retries returns the total extra compute attempts the stage and workload
-// groups spent recovering transient failures.
-func (pl *Pipeline) Retries() int64 {
-	return pl.traces.Retries() + pl.programs.Retries() + pl.nextats.Retries() +
-		pl.datalats.Retries() + pl.workloads.Retries()
-}
+// Retries returns the extra prepare attempts the workload group spent
+// recovering transient failures.
+func (pl *Pipeline) Retries() int64 { return pl.workloads.Retries() }
 
 // Quarantined returns how many undecodable artifacts the stage stores
 // moved to quarantine/ (0 when no store is configured).
@@ -460,14 +320,8 @@ func (pl *Pipeline) Quarantined() int64 {
 }
 
 // Regenerated returns the total number of stage artifacts produced by
-// compute functions (0 on a fully warm store).
-func (pl *Pipeline) Regenerated() int64 {
-	var total int64
-	for _, st := range pl.Stats() {
-		total += st.Computed
-	}
-	return total
-}
+// walks (0 on a fully warm store).
+func (pl *Pipeline) Regenerated() int64 { return int64(len(StageNames())) * pl.walked.Load() }
 
 // WorkloadsPrepared returns how many workloads this pipeline assembled.
 func (pl *Pipeline) WorkloadsPrepared() int64 { return pl.workloads.Computed() }

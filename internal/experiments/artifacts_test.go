@@ -7,6 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"acic/internal/analysis"
+	"acic/internal/branch"
+	"acic/internal/cpu"
+	"acic/internal/mem"
 	"acic/internal/stats"
 	"acic/internal/workload"
 )
@@ -21,32 +25,54 @@ func newTestPipeline(t *testing.T, n int, dir string) *Pipeline {
 	return pl
 }
 
-// assertWorkloadsEqual compares every prepared array two workloads carry.
+// referenceWorkload prepares app with the whole-trace layer functions —
+// the batch computation the fused walk must reproduce. Unlike a pipeline
+// workload it keeps the trace's instruction records.
+func referenceWorkload(t *testing.T, app string, n int) *Workload {
+	t.Helper()
+	prof, ok := workload.ByName(app)
+	if !ok {
+		t.Fatalf("unknown test workload %q", app)
+	}
+	tr := workload.Generate(prof, n)
+	prog := cpu.NewProgram(tr, branch.NewFrontEnd().Annotate(tr))
+	prog.EnsureDataLatencies(mem.DefaultConfig())
+	return &Workload{
+		Profile: prof,
+		Prog:    prog,
+		Trace:   tr,
+		Ann:     prog.Ann,
+		Blocks:  prog.Blocks,
+		Oracle:  analysis.NewNextUseOracle(prog.Blocks),
+		NextAt:  analysis.NextUseArray(prog.Blocks),
+	}
+}
+
+// assertWorkloadsEqual compares every array the simulator reads, and
+// checks got has the prepared shape: a named trace with no instruction
+// records.
 func assertWorkloadsEqual(t *testing.T, want, got *Workload) {
 	t.Helper()
-	if want.Profile != got.Profile {
+	if want.Profile != got.Profile || want.Trace.Name != got.Trace.Name {
 		t.Fatalf("profile mismatch: %v vs %v", got.Profile.Name, want.Profile.Name)
 	}
-	if !reflect.DeepEqual(want.Trace.Insts, got.Trace.Insts) {
-		t.Fatal("trace instruction streams differ")
+	if len(got.Trace.Insts) != 0 {
+		t.Fatalf("prepared workload retains %d instruction records", len(got.Trace.Insts))
 	}
-	if !reflect.DeepEqual(want.Ann, got.Ann) {
-		t.Fatal("branch annotations differ")
-	}
-	if !reflect.DeepEqual(want.Prog.Desc, got.Prog.Desc) {
-		t.Fatal("program descriptor arrays differ")
-	}
-	if !reflect.DeepEqual(want.Prog.Blocks, got.Prog.Blocks) {
-		t.Fatal("collapsed block sequences differ")
-	}
-	if !reflect.DeepEqual(want.Prog.MemBlk, got.Prog.MemBlk) {
-		t.Fatal("data-block arrays differ")
-	}
-	if !reflect.DeepEqual(want.Prog.DataLat, got.Prog.DataLat) {
-		t.Fatal("data-latency timelines differ")
-	}
-	if !reflect.DeepEqual(want.NextAt, got.NextAt) {
-		t.Fatal("successor arrays differ")
+	for _, c := range []struct {
+		label     string
+		want, got any
+	}{
+		{"branch annotations", want.Ann, got.Ann},
+		{"program descriptor arrays", want.Prog.Desc, got.Prog.Desc},
+		{"collapsed block sequences", want.Prog.Blocks, got.Prog.Blocks},
+		{"data-block arrays", want.Prog.MemBlk, got.Prog.MemBlk},
+		{"data-latency timelines", want.Prog.DataLat, got.Prog.DataLat},
+		{"successor arrays", want.NextAt, got.NextAt},
+	} {
+		if !reflect.DeepEqual(c.want, c.got) {
+			t.Fatalf("%s differ", c.label)
+		}
 	}
 }
 
@@ -100,31 +126,21 @@ func TestPipelineWarmStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPipelineMatchesPrepare pins the staged pipeline to the reference
-// monolithic path: Prepare and a store-backed pipeline must produce the
-// same arrays.
+// TestPipelineMatchesPrepare pins Prepare and a store-backed pipeline,
+// cold and then warm, to the whole-trace reference.
 func TestPipelineMatchesPrepare(t *testing.T) {
 	const app, n = "sibench", 20_000
-	prof, ok := workload.ByName(app)
-	if !ok {
-		t.Fatal("unknown test workload")
-	}
-	want := Prepare(prof, n)
+	want := referenceWorkload(t, app, n)
+	assertWorkloadsEqual(t, want, Prepare(want.Profile, n))
 
-	pl := newTestPipeline(t, n, t.TempDir())
-	got, err := pl.Workload(app)
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	for _, pass := range []string{"cold", "warm"} {
+		got, err := newTestPipeline(t, n, dir).Workload(app)
+		if err != nil {
+			t.Fatalf("%s: %v", pass, err)
+		}
+		assertWorkloadsEqual(t, want, got)
 	}
-	assertWorkloadsEqual(t, want, got)
-
-	// And again through the store.
-	warm := newTestPipeline(t, n, t.TempDir())
-	got2, err := warm.Workload(app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertWorkloadsEqual(t, want, got2)
 }
 
 // corruptStore mangles every artifact in dir with the given transform.
@@ -156,8 +172,7 @@ func TestPipelineCorruptArtifactsRegenerate(t *testing.T) {
 		"truncate": func(b []byte) []byte { return b[:len(b)/3] },
 		"garbage":  func(b []byte) []byte { return []byte("not an artifact") },
 	}
-	prof, _ := workload.ByName(app)
-	want := Prepare(prof, n)
+	want := referenceWorkload(t, app, n)
 	for name, mangle := range mangles {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -186,19 +201,19 @@ func TestPipelineCorruptArtifactsRegenerate(t *testing.T) {
 	}
 }
 
-// TestPipelineWarm exercises the `acic-trace warm` path: Warm materializes
-// all four stages without assembling workloads, and a suite over the same
+// TestPipelineWarm exercises the `acic-trace warm` path: Require walks
+// each workload once, writing all four stages, and a suite over the same
 // store then prepares with zero regenerations.
 func TestPipelineWarm(t *testing.T) {
 	dir := t.TempDir()
 	apps := []string{"media-streaming", "sibench"}
 	pl := newTestPipeline(t, 20_000, dir)
-	if err := pl.Warm(apps...); err != nil {
+	if err := pl.Require(apps...); err != nil {
 		t.Fatal(err)
 	}
 	assertStageCounts(t, pl, 2, 0)
-	if n := pl.WorkloadsPrepared(); n != 0 {
-		t.Errorf("Warm assembled %d workloads, want 0", n)
+	if n := pl.WorkloadsPrepared(); n != 2 {
+		t.Errorf("Require prepared %d workloads, want 2", n)
 	}
 
 	s := NewSuite(20_000)

@@ -145,9 +145,9 @@ func NewDiskCache[K comparable, V any](dir string, key func(K) string) (*DiskCac
 // with all missing parents) or, when dir is an http(s):// URL, a remote
 // StoreServer — whose values are encoded by enc and decoded by dec. dec
 // receives the key alongside the bytes so decoders can rebuild derived
-// state from sibling artifacts (a persisted Program is reconstructed
-// against its trace); any dec error quarantines the entry and reads as a
-// miss.
+// state from sibling artifacts; any dec error quarantines the entry and
+// reads as a miss. enc may be nil for a cache whose entries are written
+// only through BeginStream; Store is then a no-op.
 //
 // The backend is probed up front: Store is deliberately best-effort (a
 // failed write only costs a future recompute), so without the probe an
@@ -282,7 +282,7 @@ func (e *StreamEntry) Abort() {
 // published atomically, so concurrent readers never observe a partial
 // entry and a crash leaves nothing in the store root.
 func (d *DiskCache[K, V]) Store(k K, v V) {
-	if faults.FailIO() {
+	if d.enc == nil || faults.FailIO() {
 		return
 	}
 	data, err := d.enc(v)

@@ -12,7 +12,6 @@ import (
 	"acic/internal/experiments/engine"
 	"acic/internal/faults"
 	"acic/internal/trace"
-	"acic/internal/workload"
 )
 
 // findArtifactWithSection returns the path of the store artifact carrying
@@ -109,8 +108,7 @@ func assertQuarantined(t *testing.T, dir string, want int) {
 // a workload equal to the reference, and leave the store warm again.
 func TestSectionBitFlipQuarantineAndRegenerate(t *testing.T) {
 	const app, n = "media-streaming", 20_000
-	prof, _ := workload.ByName(app)
-	want := Prepare(prof, n)
+	want := referenceWorkload(t, app, n)
 
 	for _, tag := range []string{
 		trace.SecInstsZ, trace.SecAnnot, trace.SecDesc,
@@ -188,83 +186,111 @@ func TestSectionBitFlipQuarantineAndRegenerate(t *testing.T) {
 	})
 }
 
-// TestStreamedStoreBitFlipWarmLoad covers the streamed-store warm-load
-// path: artifacts written by the windowed cold prepare (multiple INSZ
-// sections in one container) are corrupted and must quarantine and
-// regenerate exactly like batch-written ones.
-func TestStreamedStoreBitFlipWarmLoad(t *testing.T) {
-	const app, n = "media-streaming", 20_000
-	prof, _ := workload.ByName(app)
-	want := Prepare(prof, n)
-
+// TestLegacyChunkedTraceStore covers stores written by older versions,
+// whose trace artifact carries one INSZ section per prepare window (CI's
+// cached stores may hold such entries): they warm-load with zero
+// regenerations, a bit flip in the last section quarantines the entry,
+// and the regenerated entry uses the single-section layout.
+func TestLegacyChunkedTraceStore(t *testing.T) {
+	const app, n, window = "media-streaming", 20_000, 4096
+	want := referenceWorkload(t, app, n)
 	dir := t.TempDir()
-	cold, err := NewPipeline(PipelineConfig{N: n, Dir: dir, Window: 4096})
+	if _, err := newTestPipeline(t, n, dir).Workload(app); err != nil {
+		t.Fatal(err)
+	}
+	path, _ := findArtifactWithSection(t, dir, trace.SecInstsZ)
+	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cold.Workload(app); err != nil {
+	cw, err := trace.NewContainerWriter(f, want.Trace.Name)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Streamed() != 1 {
-		t.Fatalf("cold prepare did not stream (%d)", cold.Streamed())
+	for lo := 0; lo < n; lo += window {
+		chunk := want.Trace.Insts[lo:min(lo+window, n)]
+		if err := cw.WriteSection(trace.SecInstsZ, trace.EncodeInstsPacked(chunk)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	path, spans := findArtifactWithSection(t, dir, trace.SecInstsZ)
-	if len(spans) < 2 {
-		t.Fatalf("streamed trace artifact has %d INSZ sections, want one per window", len(spans))
+	if err := cw.Close(); err != nil {
+		t.Fatal(err)
 	}
-	flipPayloadBit(t, path, spans[len(spans)-1])
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	// A warm store routes the windowed pipeline through the batch load
-	// path (storeWarm); the corrupt trace must quarantine there and the
-	// workload still come out equal.
-	warm, err := NewPipeline(PipelineConfig{N: n, Dir: dir, Window: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := warm.Workload(app)
+	legacy := newTestPipeline(t, n, dir)
+	got, err := legacy.Workload(app)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertWorkloadsEqual(t, want, got)
-	if q := warm.Quarantined(); q != 1 {
-		t.Fatalf("Quarantined = %d, want 1", q)
-	}
-	assertQuarantined(t, dir, 1)
-}
+	assertStageCounts(t, legacy, 0, 1)
+	assertQuarantined(t, dir, 0)
 
-// TestStreamFallbackToBatch: an injected panic mid-window must degrade
-// the streamed prepare to the batch path — same workload, counted as a
-// fallback, no error surfaced.
-func TestStreamFallbackToBatch(t *testing.T) {
-	const app, n = "sibench", 20_000
-	prof, _ := workload.ByName(app)
-	want := Prepare(prof, n)
-
-	// Draw sequence on the panic-cell counter (single-threaded Workload
-	// call): #0 the workloads group's compute boundary, #1.. one per
-	// stream window. every=3 fires on draw #2 — the second window — so
-	// the stream dies mid-flight and the batch stages (whose compute
-	// boundaries also draw) recover via their transient-retry policy.
-	if err := faults.Install("panic-cell:every=3"); err != nil {
-		t.Fatal(err)
+	_, spans := findArtifactWithSection(t, dir, trace.SecInstsZ)
+	if len(spans) < 2 {
+		t.Fatalf("legacy trace artifact has %d INSZ sections, want one per window", len(spans))
 	}
-	defer faults.Install("")
-	pl, err := NewPipeline(PipelineConfig{N: n, Dir: t.TempDir(), Window: 4096})
+	flipPayloadBit(t, path, spans[len(spans)-1])
+	pl := newTestPipeline(t, n, dir)
+	got, err = pl.Workload(app)
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertWorkloadsEqual(t, want, got)
+	if q := pl.Quarantined(); q != 1 {
+		t.Fatalf("Quarantined = %d, want 1", q)
+	}
+	assertQuarantined(t, dir, 1)
+	if _, spans := findArtifactWithSection(t, dir, trace.SecInstsZ); len(spans) != 1 {
+		t.Fatalf("regenerated trace artifact has %d INSZ sections, want 1", len(spans))
+	}
+}
+
+// TestStreamPanicMidWindowRetries: an injected panic in the middle of the
+// walk must be retried by the workload group — same workload as the
+// reference, and no partial entry left behind in the store.
+func TestStreamPanicMidWindowRetries(t *testing.T) {
+	const app, n = "sibench", 2*prepareWindow + 1000
+	want := referenceWorkload(t, app, n)
+
+	// Draw sequence on the panic-cell counter (single-threaded Workload
+	// call): #0 the workload group's compute boundary, then one before
+	// each later window (#1 before the second, #2 before the third).
+	// Under this seed the first draw to fire is #2 — two windows in — and
+	// the retry's draws #3..#5 all pass.
+	if err := faults.Install("panic-cell:p=0.5;seed=34"); err != nil {
+		t.Fatal(err)
+	}
+	defer faults.Install("")
+	dir := t.TempDir()
+	pl := newTestPipeline(t, n, dir)
 	got, err := pl.Workload(app)
 	if err != nil {
 		t.Fatal(err)
 	}
+	panics := faults.Snapshot().Panics
 	faults.Install("")
+	if panics != 1 {
+		t.Fatalf("injected %d panics, want 1", panics)
+	}
+	if r := pl.Retries(); r != 1 {
+		t.Fatalf("Retries = %d, want 1", r)
+	}
 	assertWorkloadsEqual(t, want, got)
-	if f := pl.StreamFallbacks(); f != 1 {
-		t.Fatalf("StreamFallbacks = %d, want 1", f)
+	assertStageCounts(t, pl, 1, 0)
+	temps, err := os.ReadDir(filepath.Join(dir, "tmp"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if pl.Streamed() != 0 {
-		t.Fatalf("Streamed = %d after fallback, want 0", pl.Streamed())
+	for _, ent := range temps {
+		if strings.HasPrefix(ent.Name(), "tmp-") {
+			t.Errorf("aborted walk left %s in the store", ent.Name())
+		}
 	}
+	assertQuarantined(t, dir, 0)
 }
 
 // TestGangDegradeLadder: injected gang panics must degrade to serial

@@ -38,10 +38,10 @@ type Workload struct {
 
 // Prepare generates a workload of n instructions and builds the shared
 // artifacts, including the data-side latency timeline every scheme run
-// reads instead of re-simulating the data hierarchy. It runs the staged
-// pipeline (trace → program → successor array → latency timeline) without
-// a persistent store; hand PipelineConfig a Dir to make these stages
-// reusable artifacts across processes.
+// reads instead of re-simulating the data hierarchy. It runs the
+// pipeline's windowed walk without a persistent store, so the returned
+// workload carries no Inst records; hand PipelineConfig a Dir to make the
+// prepared stages reusable artifacts across processes.
 func Prepare(p workload.Profile, n int) *Workload {
 	pl, err := NewPipeline(PipelineConfig{
 		N:      n,
@@ -217,8 +217,8 @@ func platformConfig(prefetcher string) (cpu.Config, error) {
 }
 
 // warmup returns the warmup instruction count for a workload under opts.
-// Length comes from the Program, not the trace — streamed-prepared
-// workloads carry no Inst records.
+// Length comes from the Program, not the trace — prepared workloads
+// carry no Inst records.
 func warmup(w *Workload, opts Options) int64 {
 	return int64(float64(w.Prog.Len()) * opts.WarmupFrac)
 }

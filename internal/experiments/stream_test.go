@@ -1,107 +1,55 @@
 package experiments
 
 import (
+	"bytes"
+	"os"
 	"testing"
 
-	"acic/internal/workload"
+	"acic/internal/trace"
 )
 
-// newStreamedPipeline builds a windowed pipeline over dir.
-func newStreamedPipeline(t *testing.T, n, window int, dir string) *Pipeline {
-	t.Helper()
-	pl, err := NewPipeline(PipelineConfig{N: n, Dir: dir, Window: window})
+// TestPipelineStreamedMatchesBatch pins the fused walk against the
+// whole-trace layer functions at a length that crosses two real window
+// boundaries (and ends in a partial window): every prepared array equal,
+// one computed per stage, and the trace artifact a single INSZ section
+// byte-identical to trace.Write of the generated trace.
+func TestPipelineStreamedMatchesBatch(t *testing.T) {
+	const app, n = "media-streaming", 2*prepareWindow + 5000
+	want := referenceWorkload(t, app, n)
+	dir := t.TempDir()
+	pl := newTestPipeline(t, n, dir)
+	got, err := pl.Workload(app)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pl
-}
+	assertWorkloadsEqual(t, want, got)
+	assertStageCounts(t, pl, 1, 0)
 
-// assertPreparedEqual is assertWorkloadsEqual minus the Trace.Insts check:
-// streamed workloads deliberately carry no instruction records, so the
-// comparison covers every array the simulator actually reads.
-func assertPreparedEqual(t *testing.T, want, got *Workload) {
-	t.Helper()
-	if want.Profile != got.Profile {
-		t.Fatalf("profile mismatch: %v vs %v", got.Profile.Name, want.Profile.Name)
+	path, spans := findArtifactWithSection(t, dir, trace.SecInstsZ)
+	if len(spans) != 1 {
+		t.Fatalf("trace artifact has %d INSZ sections, want 1", len(spans))
 	}
-	if !equalSlices(t, "Ann", want.Ann, got.Ann) ||
-		!equalSlices(t, "Desc", want.Prog.Desc, got.Prog.Desc) ||
-		!equalSlices(t, "Blocks", want.Prog.Blocks, got.Prog.Blocks) ||
-		!equalSlices(t, "MemBlk", want.Prog.MemBlk, got.Prog.MemBlk) ||
-		!equalSlices(t, "DataLat", want.Prog.DataLat, got.Prog.DataLat) ||
-		!equalSlices(t, "NextAt", want.NextAt, got.NextAt) {
-		t.FailNow()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func equalSlices[T comparable](t *testing.T, label string, a, b []T) bool {
-	t.Helper()
-	if len(a) != len(b) {
-		t.Errorf("%s: length %d vs %d", label, len(a), len(b))
-		return false
+	var ref bytes.Buffer
+	if err := trace.Write(&ref, want.Trace); err != nil {
+		t.Fatal(err)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("%s: differs at %d", label, i)
-			return false
-		}
-	}
-	return true
-}
-
-// TestPipelineStreamedMatchesBatch pins the fused streamed prepare against
-// the batch pipeline at window sizes including 1 and beyond the trace
-// length: every prepared array equal, the streamed workload carrying no
-// Inst records, and the streamed counter reporting the mode.
-func TestPipelineStreamedMatchesBatch(t *testing.T) {
-	const app, n = "media-streaming", 20_000
-	prof, _ := workload.ByName(app)
-	want := Prepare(prof, n)
-
-	for _, window := range []int{1, 1000, n + 5000} {
-		if window == 1 && testing.Short() {
-			continue // window 1 re-enters the generator per instruction
-		}
-		pl := newStreamedPipeline(t, n, window, t.TempDir())
-		got, err := pl.Workload(app)
-		if err != nil {
-			t.Fatalf("window=%d: %v", window, err)
-		}
-		if len(got.Trace.Insts) != 0 {
-			t.Errorf("window=%d: streamed workload retains %d insts", window, len(got.Trace.Insts))
-		}
-		assertPreparedEqual(t, want, got)
-		if pl.Streamed() != 1 {
-			t.Errorf("window=%d: Streamed() = %d, want 1", window, pl.Streamed())
-		}
-		for _, st := range pl.Stats() {
-			switch st.Stage {
-			case "streamed":
-				if st.Computed != 1 {
-					t.Errorf("window=%d: streamed stage computed %d, want 1", window, st.Computed)
-				}
-			default:
-				if st.Computed != 0 || st.FromStore != 0 {
-					t.Errorf("window=%d: stage %s ran (%d/%d) in streamed mode", window, st.Stage, st.Computed, st.FromStore)
-				}
-			}
-		}
+	if !bytes.Equal(data, ref.Bytes()) {
+		t.Errorf("trace artifact (%d bytes) differs from trace.Write (%d bytes)", len(data), ref.Len())
 	}
 }
 
 // TestPipelineStreamedWritesWarmStore is the artifact-compatibility check:
-// a streamed cold run fills the store (chunked INSZ trace container
-// included), and a plain batch pipeline over the same store then loads
-// every stage with zero regenerations and reconstructs the full workload —
-// instruction records and all — equal to a from-scratch batch prepare.
+// a cold walk fills the store, and a second pipeline over it loads every
+// stage with zero regenerations and reconstructs the reference workload.
 func TestPipelineStreamedWritesWarmStore(t *testing.T) {
 	const app, n = "sibench", 20_000
-	prof, _ := workload.ByName(app)
-	want := Prepare(prof, n)
+	want := referenceWorkload(t, app, n)
 	dir := t.TempDir()
-
-	cold := newStreamedPipeline(t, n, 4096, dir)
-	if _, err := cold.Workload(app); err != nil {
+	if _, err := newTestPipeline(t, n, dir).Workload(app); err != nil {
 		t.Fatal(err)
 	}
 
@@ -111,31 +59,18 @@ func TestPipelineStreamedWritesWarmStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	if reg := warm.Regenerated(); reg != 0 {
-		t.Errorf("batch pipeline regenerated %d artifacts over the streamed store, want 0", reg)
+		t.Errorf("warm pipeline regenerated %d artifacts, want 0", reg)
 	}
+	assertStageCounts(t, warm, 0, 1)
 	assertWorkloadsEqual(t, want, got)
-
-	// A second *streamed* pipeline over the now-warm store must route to
-	// the batch load path: zero streamed prepares, all stages from store.
-	rewarm := newStreamedPipeline(t, n, 4096, dir)
-	got2, err := rewarm.Workload(app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rewarm.Streamed() != 0 {
-		t.Errorf("warm store still streamed %d prepares", rewarm.Streamed())
-	}
-	assertWorkloadsEqual(t, want, got2)
 }
 
-// TestPipelineStreamedNoStore covers the store-less streamed pipeline
-// (ArtifactDir unset): preparation still streams and still matches batch.
+// TestPipelineStreamedNoStore covers the store-less pipeline (ArtifactDir
+// unset): preparation still walks and still matches the reference.
 func TestPipelineStreamedNoStore(t *testing.T) {
 	const app, n = "tpcc", 15_000
-	prof, _ := workload.ByName(app)
-	want := Prepare(prof, n)
-
-	pl, err := NewPipeline(PipelineConfig{N: n, Window: 2048})
+	want := referenceWorkload(t, app, n)
+	pl, err := NewPipeline(PipelineConfig{N: n})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,49 +78,6 @@ func TestPipelineStreamedNoStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertPreparedEqual(t, want, got)
-	if pl.Streamed() != 1 {
-		t.Errorf("Streamed() = %d, want 1", pl.Streamed())
-	}
-}
-
-// TestExpAllStreamedVsBatchByteIdentical is the tentpole acceptance check:
-// the full -exp all experiment output of a cold streamed-prepare suite is
-// byte-identical to a cold batch-prepare suite.
-func TestExpAllStreamedVsBatchByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full experiment set in -short mode")
-	}
-	const n = 12_000
-	apps := []string{"media-streaming", "sibench"}
-
-	batchSuite := NewSuite(n)
-	batchSuite.Apps = apps
-	batchSuite.ArtifactDir = t.TempDir()
-	batch := renderAll(t, batchSuite)
-
-	for _, window := range []int{512, 65_536} {
-		streamSuite := NewSuite(n)
-		streamSuite.Apps = apps
-		streamSuite.ArtifactDir = t.TempDir()
-		streamSuite.PrepareWindow = window
-		streamed := renderAll(t, streamSuite)
-		if streamed != batch {
-			t.Errorf("window=%d: streamed-prepare output diverges from batch:\n--- batch ---\n%s--- streamed ---\n%s",
-				window, batch, streamed)
-		}
-		// Every cold prepare must have gone through the streamed path: the
-		// streamed counter covers all workloads the render touched (the
-		// suite's apps plus SPEC and histogram workloads) and the four
-		// whole-trace stages never ran.
-		for _, st := range streamSuite.PrepareStats() {
-			if st.Stage == "streamed" {
-				if st.Computed < int64(len(apps)) {
-					t.Errorf("window=%d: streamed only %d prepares: %+v", window, st.Computed, streamSuite.PrepareStats())
-				}
-			} else if st.Computed != 0 {
-				t.Errorf("window=%d: stage %s regenerated %d artifacts in streamed mode", window, st.Stage, st.Computed)
-			}
-		}
-	}
+	assertWorkloadsEqual(t, want, got)
+	assertStageCounts(t, pl, 1, 0)
 }

@@ -434,8 +434,9 @@ func Write(w io.Writer, t *Trace) error {
 }
 
 // Read decodes a trace written by Write. All on-disk generations are
-// accepted: v2 with packed SecInstsZ sections (any number — streamed
-// containers carry one per window, concatenated in order), v2 with the
+// accepted: v2 with packed SecInstsZ sections (any number, concatenated
+// in order — stores written by older versions carry one per prepare
+// window), v2 with the
 // older SecInsts section, and the legacy v1 bare stream.
 func Read(r io.Reader) (*Trace, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
@@ -455,7 +456,7 @@ func Read(r io.Reader) (*Trace, error) {
 	}
 	// Sum the per-section counts up front so the concatenation is one
 	// allocation: appending window-sized sections into a growing slice
-	// reallocates ~5x the final bytes in 1.25x growth steps on streamed
+	// reallocates ~5x the final bytes in 1.25x growth steps on per-window
 	// containers. The counts sit behind each section's verified CRC, but a
 	// forged count is still only a capped prealloc hint — decoding fails on
 	// a truncated token once the payload runs dry, after bounded growth.

@@ -30,12 +30,13 @@ import (
 // Sequential fetch makes the common tokens one byte (delta/4 = 1 folds to
 // token 64+op) and collapses straight-line ALU runs to one or two bytes,
 // so the packed stream lands well under the old 4B/inst. Each section is
-// self-contained — prevPC and prevMem reset to zero per section — which is
-// what lets the streaming writer emit one section per window and the
-// reader concatenate any number of SecInstsZ sections back into one trace.
+// self-contained — prevPC and prevMem reset to zero per section. Writers
+// emit one section per trace (PackedEncoder builds it window by window);
+// the reader still concatenates any number of SecInstsZ sections back into
+// one trace, because stores written by older versions carry one per window.
 
-// SecInstsZ tags a packed instruction section. A container may carry
-// several (one per streamed window); Read concatenates them in order.
+// SecInstsZ tags a packed instruction section. Read concatenates every
+// one a container carries, in order.
 const SecInstsZ = "INSZ"
 
 const (
@@ -47,57 +48,105 @@ const (
 
 // EncodeInstsPacked encodes an instruction stream as a SecInstsZ payload.
 func EncodeInstsPacked(insts []Inst) []byte {
-	out := make([]byte, 0, len(insts)+len(insts)/2+binary.MaxVarintLen64)
-	out = binary.AppendUvarint(out, uint64(len(insts)))
-	var prevPC, prevMem uint64
-	for i := 0; i < len(insts); {
+	e := NewPackedEncoder(len(insts))
+	e.Append(insts)
+	return e.Finish()
+}
+
+// PackedEncoder builds one SecInstsZ payload incrementally, so a producer
+// that sees the stream in windows still writes a single section: the
+// encoder carries prevPC, prevMem and any open ALU run across Append
+// calls, and its output equals EncodeInstsPacked over the concatenated
+// input however the stream was split.
+type PackedEncoder struct {
+	out             []byte // a reserved count prefix, then the records
+	count           uint64
+	prevPC, prevMem uint64
+	run             uint64 // sequential not-taken ALU records not yet emitted
+}
+
+// NewPackedEncoder starts a payload; capHint is the expected instruction
+// count (0 is fine).
+func NewPackedEncoder(capHint int) *PackedEncoder {
+	out := make([]byte, binary.MaxVarintLen64, binary.MaxVarintLen64+capHint+capHint/2)
+	return &PackedEncoder{out: out}
+}
+
+// Append encodes the next instructions of the stream. insts is not
+// retained.
+func (e *PackedEncoder) Append(insts []Inst) {
+	for i := range insts {
 		in := &insts[i]
-		// Maximal run of sequential not-taken ALU instructions.
-		if in.Class == ClassALU && !in.Taken && in.PC == prevPC+instAlign {
-			j := i + 1
-			for j < len(insts) && insts[j].Class == ClassALU && !insts[j].Taken &&
-				insts[j].PC == insts[j-1].PC+instAlign {
-				j++
-			}
-			if run := j - i; run >= 2 {
-				out = binary.AppendUvarint(out, uint64(run)<<packedOpShift|packedOpRun)
-				prevPC = insts[j-1].PC
-				i = j
-				continue
-			}
+		if in.Class == ClassALU && !in.Taken && in.PC == e.prevPC+instAlign {
+			e.run++
+			e.prevPC = in.PC
+			continue
 		}
-		pcDelta := int64(in.PC - prevPC)
-		tgtDelta := int64(in.Target - in.PC)
-		foldable := in.Class < 16 && pcDelta%instAlign == 0 &&
-			(!in.Class.IsBranch() || tgtDelta%instAlign == 0)
-		if foldable {
-			op := uint64(in.Class) << 1
-			if in.Taken {
-				op |= 1
-			}
-			out = binary.AppendUvarint(out, zigzag(pcDelta/instAlign)<<packedOpShift|op)
-			if in.Class.IsBranch() {
-				out = binary.AppendUvarint(out, zigzag(tgtDelta/instAlign))
-			}
-		} else {
-			out = binary.AppendUvarint(out, packedOpEscape) // u = 0
-			out = binary.AppendUvarint(out, zigzag(pcDelta))
-			flags := byte(in.Class)
-			if in.Taken {
-				flags |= 0x80
-			}
-			out = append(out, flags)
-			if in.Class.IsBranch() {
-				out = binary.AppendUvarint(out, zigzag(tgtDelta))
-			}
-		}
-		if in.Class.IsMem() {
-			out = binary.AppendUvarint(out, zigzag(int64(in.MemAddr-prevMem)))
-			prevMem = in.MemAddr
-		}
-		prevPC = in.PC
-		i++
+		e.flushRun()
+		e.record(in)
 	}
+	e.count += uint64(len(insts))
+}
+
+// flushRun emits the open ALU run: a run token for two or more records,
+// the plain one-record token (delta/4 = 1) for a lone one.
+func (e *PackedEncoder) flushRun() {
+	switch e.run {
+	case 0:
+		return
+	case 1:
+		e.out = binary.AppendUvarint(e.out, zigzag(1)<<packedOpShift|uint64(ClassALU)<<1)
+	default:
+		e.out = binary.AppendUvarint(e.out, e.run<<packedOpShift|packedOpRun)
+	}
+	e.run = 0
+}
+
+// record emits one non-run record.
+func (e *PackedEncoder) record(in *Inst) {
+	pcDelta := int64(in.PC - e.prevPC)
+	tgtDelta := int64(in.Target - in.PC)
+	foldable := in.Class < 16 && pcDelta%instAlign == 0 &&
+		(!in.Class.IsBranch() || tgtDelta%instAlign == 0)
+	if foldable {
+		op := uint64(in.Class) << 1
+		if in.Taken {
+			op |= 1
+		}
+		e.out = binary.AppendUvarint(e.out, zigzag(pcDelta/instAlign)<<packedOpShift|op)
+		if in.Class.IsBranch() {
+			e.out = binary.AppendUvarint(e.out, zigzag(tgtDelta/instAlign))
+		}
+	} else {
+		e.out = binary.AppendUvarint(e.out, packedOpEscape) // u = 0
+		e.out = binary.AppendUvarint(e.out, zigzag(pcDelta))
+		flags := byte(in.Class)
+		if in.Taken {
+			flags |= 0x80
+		}
+		e.out = append(e.out, flags)
+		if in.Class.IsBranch() {
+			e.out = binary.AppendUvarint(e.out, zigzag(tgtDelta))
+		}
+	}
+	if in.Class.IsMem() {
+		e.out = binary.AppendUvarint(e.out, zigzag(int64(in.MemAddr-e.prevMem)))
+		e.prevMem = in.MemAddr
+	}
+	e.prevPC = in.PC
+}
+
+// Finish closes the payload and returns it. The count prefix is written
+// right-aligned into the reserved bytes, so no record is copied. The
+// encoder must not be used afterwards.
+func (e *PackedEncoder) Finish() []byte {
+	e.flushRun()
+	var hdr [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(hdr[:], e.count)
+	start := binary.MaxVarintLen64 - k
+	copy(e.out[start:], hdr[:k])
+	out := e.out[start:]
+	e.out = nil
 	return out
 }
 
@@ -111,8 +160,7 @@ func DecodeInstsPacked(data []byte) ([]Inst, error) {
 }
 
 // AppendInstsPacked decodes a SecInstsZ payload, appending to dst — the
-// reader uses it to concatenate the per-window sections a streamed
-// container carries.
+// reader uses it to concatenate the sections of a multi-section container.
 func AppendInstsPacked(dst []Inst, data []byte) ([]Inst, error) {
 	pos := 0
 	uvarint := func() (uint64, bool) {
@@ -206,9 +254,8 @@ func AppendInstsPacked(dst []Inst, data []byte) ([]Inst, error) {
 	return dst, nil
 }
 
-// ContainerWriter writes a v2 container section by section, so a streamed
-// producer can append windows as they are generated instead of holding the
-// whole image in memory. The section count is not known up front; Close
+// ContainerWriter writes a v2 container section by section, so a producer
+// materializes one section payload at a time instead of the whole image. The section count is not known up front; Close
 // patches it into the header, which is why the writer needs an
 // io.WriteSeeker (the artifact store hands it the temp file it later
 // renames into place).
