@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -386,6 +387,66 @@ func TestServeHealthzAndStats(t *testing.T) {
 	var fs experiments.FaultStats
 	if err := json.Unmarshal(st.Faults, &fs); err != nil {
 		t.Errorf("stats.faults is not a FaultStats: %v", err)
+	}
+}
+
+// cellsComputed reads /v1/stats' cells_computed counter.
+func cellsComputed(t *testing.T, url string) int {
+	t.Helper()
+	var st api.Stats
+	if err := json.Unmarshal([]byte(body(t, get(t, url+"/v1/stats"))), &st); err != nil {
+		t.Fatal(err)
+	}
+	return st.CellsComputed
+}
+
+// TestServeFig15CountsEverySimulation: every simulation a figure runs is
+// a cell the daemon counts. A cold Fig 15 computes exactly its 10 variant
+// cells per app plus the lru and acic cells, a second GET computes
+// nothing, and a variant cell is addressable on /v1/cells with a strong
+// ETag.
+func TestServeFig15CountsEverySimulation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	_, url := newTestServer(t, nil, 0)
+	before := cellsComputed(t, url)
+	resp := get(t, url+"/v1/figures/fig15")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET fig15 = %s", resp.Status)
+	}
+	first := body(t, resp)
+	want := 2 * (10 + 2) // apps × (10 variants + lru + acic)
+	if got := cellsComputed(t, url) - before; got != want {
+		t.Errorf("cold fig15 computed %d cells, want %d", got, want)
+	}
+	before = cellsComputed(t, url)
+	if again := body(t, get(t, url+"/v1/figures/fig15")); again != first {
+		t.Error("second fig15 GET differs from the first")
+	}
+	if got := cellsComputed(t, url) - before; got != 0 {
+		t.Errorf("second fig15 GET computed %d cells, want 0", got)
+	}
+
+	// A cold server answers a variant cell directly.
+	_, url2 := newTestServer(t, nil, 0)
+	resp = get(t, url2+"/v1/cells?app="+testApp+"&scheme=acic@10bit-history")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET variant cell = %s", resp.Status)
+	}
+	etag := resp.Header.Get("ETag")
+	var cr api.CellsResponse
+	if err := json.Unmarshal([]byte(body(t, resp)), &cr); err != nil {
+		t.Fatal(err)
+	}
+	if etag == "" || strings.HasPrefix(etag, "W/") || cr.ETag != etag {
+		t.Errorf("variant cell ETag %q (body %q), want a strong ETag", etag, cr.ETag)
+	}
+	if len(cr.Cells) != 1 || cr.Cells[0].Error != nil || len(cr.Cells[0].Result) == 0 {
+		t.Fatalf("variant cell response = %+v", cr.Cells)
+	}
+	if got := cellsComputed(t, url2); got != 1 {
+		t.Errorf("variant cell query computed %d cells, want 1", got)
 	}
 }
 

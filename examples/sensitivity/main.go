@@ -10,10 +10,8 @@ import (
 	"log"
 	"os"
 
-	"acic/internal/core"
 	"acic/internal/experiments"
 	"acic/internal/icache"
-	"acic/internal/policy"
 	"acic/internal/stats"
 	"acic/internal/workload"
 )
@@ -36,11 +34,11 @@ func main() {
 
 	tbl := &stats.Table{Header: []string{"variant", "speedup", "MPKI reduction", "admit%"}}
 	for _, v := range experiments.Fig15Variants {
-		cc := core.DefaultConfig()
-		v.Mutate(&cc)
-		sub := icache.MustNew(icache.Config{
-			Sets: 64, Ways: 8, Policy: policy.NewLRU(), ACIC: &cc,
-		})
+		// Each row is a scheme name: "acic" or an "acic@<variant>".
+		sub, err := experiments.NewScheme(v.Scheme, w)
+		if err != nil {
+			log.Fatal(err)
+		}
 		res, err := experiments.RunSubsystem(w, sub, opts)
 		if err != nil {
 			log.Fatal(err)
@@ -48,7 +46,7 @@ func main() {
 		tbl.AddRow(v.Name,
 			fmt.Sprintf("%.4f", experiments.Speedup(base, res)),
 			stats.Percent(experiments.MPKIReduction(base, res)),
-			fmt.Sprintf("%.1f", 100*sub.ACIC().AdmitFraction()))
+			fmt.Sprintf("%.1f", 100*sub.(*icache.Complex).ACIC().AdmitFraction()))
 	}
 	fmt.Printf("%s ACIC sensitivity (Fig 15 axes):\n%s", app, tbl.String())
 }

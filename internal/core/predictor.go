@@ -1,5 +1,7 @@
 package core
 
+import "math/bits"
+
 // The two-level admission predictor (Fig 4) mirrors the Yeh/Patt two-level
 // branch predictor. The first level, the History Register Table (HRT), is
 // indexed by a hash of the i-Filter victim's partial tag; each entry is a
@@ -66,8 +68,11 @@ type Predictor struct {
 	threshold int64
 	histMask  uint32
 
-	queues    [][]ptUpdate // pending PT updates, one FIFO per PT entry
-	pendHRT   []hrtShift   // HRT shifts in flight
+	queues [][]ptUpdate // pending PT updates, one FIFO per PT entry
+	// busy has bit h set iff queues[h] is non-empty, so Tick visits only
+	// the queues with pending updates instead of all 2^HistoryBits.
+	busy      []uint64
+	pendHRT   []hrtShift // HRT shifts in flight
 	now       int64
 	trainedAt []int64 // per-HRT-entry cycle of last training (alias filter)
 
@@ -92,6 +97,7 @@ func NewPredictor(cfg PredictorConfig) *Predictor {
 		threshold: cfg.threshold(),
 		histMask:  uint32(1)<<cfg.HistoryBits - 1,
 		queues:    make([][]ptUpdate, 1<<cfg.HistoryBits),
+		busy:      make([]uint64, (1<<cfg.HistoryBits+63)/64),
 		trainedAt: make([]int64, cfg.HRTEntries),
 	}
 	for i := range p.trainedAt {
@@ -152,6 +158,7 @@ func (p *Predictor) Train(partialTag uint32, outcome bool) {
 		p.QueueOverflow++
 	} else {
 		p.queues[h] = append(q, ptUpdate{due: p.now + p.cfg.UpdateLatency, increment: outcome})
+		p.busy[h/64] |= 1 << (h % 64)
 	}
 	p.pendHRT = append(p.pendHRT, hrtShift{due: p.now + 1, idx: idx, outcome: outcome})
 }
@@ -175,7 +182,9 @@ func (p *Predictor) applyPT(h uint32, increment bool) {
 
 // Tick advances the predictor to the given cycle, draining due HRT shifts
 // and popping due PT-queue heads (one per elapsed cycle per queue, modeling
-// the single update port per PT entry).
+// the single update port per PT entry). Only non-empty queues are visited,
+// in ascending history order, so a call costs O(pending queues) however
+// wide the history is.
 func (p *Predictor) Tick(cycle int64) {
 	if cycle <= p.now {
 		return
@@ -193,18 +202,26 @@ func (p *Predictor) Tick(cycle int64) {
 		}
 		p.pendHRT = kept
 	}
-	for h := range p.queues {
-		q := p.queues[h]
-		pops := 0
-		for pops < len(q) && q[pops].due <= cycle && int64(pops) < elapsed {
-			p.applyPT(uint32(h), q[pops].increment)
-			pops++
-		}
-		if pops > 0 {
-			// Compact to the front instead of re-slicing the head away:
-			// q[1:] bleeds capacity, so the next Train append reallocates —
-			// a steady-state heap allocation the zero-alloc guard forbids.
-			p.queues[h] = q[:copy(q, q[pops:])]
+	for wi, word := range p.busy {
+		for word != 0 {
+			h := wi*64 + bits.TrailingZeros64(word)
+			word &= word - 1
+			q := p.queues[h]
+			pops := 0
+			for pops < len(q) && q[pops].due <= cycle && int64(pops) < elapsed {
+				p.applyPT(uint32(h), q[pops].increment)
+				pops++
+			}
+			if pops > 0 {
+				// Compact to the front instead of re-slicing the head away:
+				// q[1:] bleeds capacity, so the next Train append
+				// reallocates — a steady-state heap allocation the
+				// zero-alloc guard forbids.
+				p.queues[h] = q[:copy(q, q[pops:])]
+				if pops == len(q) {
+					p.busy[wi] &^= 1 << (h % 64)
+				}
+			}
 		}
 	}
 }

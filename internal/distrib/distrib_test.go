@@ -73,9 +73,15 @@ func newTestGrid(t *testing.T, opts CoordinatorOptions) (*experiments.Suite, *Co
 // printed output — the byte-identity unit the tests diff.
 func renderAll(t *testing.T, s *experiments.Suite) string {
 	t.Helper()
+	return renderSlugs(t, s, testExperiments)
+}
+
+// renderSlugs renders the named experiments in registry order.
+func renderSlugs(t *testing.T, s *experiments.Suite, slugs []string) string {
+	t.Helper()
 	var sb strings.Builder
 	for _, e := range experiments.Registry() {
-		for _, want := range testExperiments {
+		for _, want := range slugs {
 			if e.Slug != want {
 				continue
 			}
@@ -138,6 +144,53 @@ func TestDistributedByteIdentical(t *testing.T) {
 				t.Errorf("no cells completed remotely (stats %+v) — the grid ran locally", st)
 			}
 		})
+	}
+}
+
+// TestDistributedVariantAndProbeCells: the Fig 15 variant cells, the
+// eviction-training variants and the Fig 13 probe cells travel the Remote
+// seam like any grid cell — workers simulate them, the coordinator reads
+// results and probe tallies back from the shared store, and the rendered
+// figures are byte-identical to local execution.
+func TestDistributedVariantAndProbeCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation grid")
+	}
+	slugs := []string{"fig13", "fig15", "ext-evict-train"}
+	local := experiments.NewSuite(testN)
+	local.Apps = strings.Split(testApps, ",")
+	local.Workers = testWidth
+	want := renderSlugs(t, local, slugs)
+
+	s, coord, url := newTestGrid(t, CoordinatorOptions{Config: testSuiteConfig(), Lease: 30 * time.Second})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			err := RunWorker(ctx, WorkerOptions{Coord: url, Workers: testWidth, Name: fmt.Sprintf("w%d", i)})
+			if err != nil && ctx.Err() == nil {
+				t.Errorf("worker %d: %v", i, err)
+			}
+		}(i)
+	}
+	got := renderSlugs(t, s, slugs)
+	coord.Close()
+	wg.Wait()
+	if got != want {
+		t.Errorf("distributed variant/probe output differs from local\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	// Per app: lru, acic, 10 Fig 15 variants, 2 eviction-training
+	// variants and the admission probe — every one completed remotely,
+	// none computed by the coordinator's suite.
+	wantCells := int64(len(local.AppNames()) * 15)
+	if st := coord.Stats(); st.Completed != wantCells || st.LocalFell != 0 {
+		t.Errorf("coordinator stats %+v, want %d cells completed remotely and none local", st, wantCells)
+	}
+	if computed, _, _ := s.Stats(); computed != 0 {
+		t.Errorf("coordinator suite computed %d cells locally", computed)
 	}
 }
 

@@ -1,11 +1,15 @@
 package experiments
 
-import (
-	"acic/internal/core"
-	"acic/internal/icache"
-	"acic/internal/policy"
-	"acic/internal/stats"
-)
+import "acic/internal/stats"
+
+// evictTrainModes are the rows of the CSHR eviction-training ablation: the
+// default (plain acic) and the two acic@ variants that train unresolved
+// evictions.
+var evictTrainModes = []Variant{
+	{"none (default)", "acic"},
+	{"admit (paper prose)", "acic@evict-admit"},
+	{"drop", "acic@evict-drop"},
+}
 
 // AblationCSHRDefault evaluates the three readings of the paper's rule for
 // CSHR entries evicted before resolution ("benefit of the doubt to the
@@ -14,46 +18,19 @@ import (
 // as re-accessed sooner (the literal prose), or train it as later. It
 // reports gmean speedup and average MPKI reduction over the baseline.
 func AblationCSHRDefault(s *Suite) (*stats.Table, error) {
-	modes := []struct {
-		name string
-		mode core.EvictTraining
-	}{
-		{"none (default)", core.EvictTrainNone},
-		{"admit (paper prose)", core.EvictTrainAdmit},
-		{"drop", core.EvictTrainDrop},
-	}
 	apps := s.AppNames()
-	if err := s.Require(CrossCells(apps, []string{Baseline}, "fdp")...); err != nil {
-		return nil, err
-	}
-	// One instrumented run per mode × app, fanned out on the worker pool.
-	speedups := make([][]float64, len(modes))
-	reductions := make([][]float64, len(modes))
-	for i := range modes {
-		speedups[i] = make([]float64, len(apps))
-		reductions[i] = make([]float64, len(apps))
-	}
-	err := s.eachCell(len(modes), len(apps), func(mi, ai int) error {
-		m, app := modes[mi], apps[ai]
-		w := s.wl(app)
-		cc := core.DefaultConfig()
-		cc.EvictTrain = m.mode
-		sub := icache.MustNew(icache.Config{Sets: icache.DefaultSets, Ways: icache.DefaultWays, Policy: policy.NewLRU(), ACIC: &cc, Sample: s.sampleFilter(app)})
-		res, err := RunSubsystem(w, sub, s.options(app))
-		if err != nil {
-			return err
-		}
-		base := s.res(app, Baseline, "fdp")
-		speedups[mi][ai] = Speedup(base, res)
-		reductions[mi][ai] = MPKIReduction(base, res)
-		return nil
-	})
-	if err != nil {
+	schemes := append([]string{Baseline}, variantSchemes(evictTrainModes)...)
+	if err := s.Require(CrossCells(apps, schemes, "fdp")...); err != nil {
 		return nil, err
 	}
 	t := &stats.Table{Header: []string{"evict-training", "gmean speedup", "avg MPKI reduction"}}
-	for mi, m := range modes {
-		t.AddRow(m.name, stats.Geomean(speedups[mi]), stats.Percent(stats.Mean(reductions[mi])))
+	for _, m := range evictTrainModes {
+		var speedups, reductions []float64
+		for _, app := range apps {
+			speedups = append(speedups, s.speedupOver(app, Baseline, m.Scheme, "fdp"))
+			reductions = append(reductions, s.mpkiReductionOver(app, Baseline, m.Scheme, "fdp"))
+		}
+		t.AddRow(m.Name, stats.Geomean(speedups), stats.Percent(stats.Mean(reductions)))
 	}
 	return t, nil
 }

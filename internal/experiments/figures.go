@@ -2,22 +2,21 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"acic/internal/analysis"
-	"acic/internal/core"
-	"acic/internal/icache"
-	"acic/internal/policy"
 	"acic/internal/stats"
 )
 
 // The renderers in this file all follow the engine's plan → execute →
-// render shape: first declare the workloads and simulation cells the
-// artifact needs (PrepareAll / Require, executed in parallel with
-// deduplication), then render from completed results in paper order.
-// Instrumented sweeps that attach callbacks to a subsystem cannot share
-// plain cells; they fan out over the same worker pool via s.each, writing
-// into index-addressed slots so rendering stays deterministic.
+// render shape: first declare the simulation cells the artifact needs
+// (Require, executed in parallel with deduplication, caching, gangs and
+// remote workers), then render from completed results in paper order.
+// Every simulation is a cell: the Fig 15 configuration variants are
+// "acic@<variant>" schemes, and the instrumented runs of the mechanism
+// figures (3b, 6, 12a, 13) are probe cells whose integer tallies are
+// cached with their results (probes.go). Only the non-simulation analyses
+// (Fig 1a's reuse distances, ext-headroom's miss-ratio curve) fan out over
+// the worker pool directly via s.each.
 
 // Fig1a returns the per-app reuse-distance distributions at instruction
 // granularity (buckets 0, 1-16, 16-512, 512-1024, 1024-10000, >10000).
@@ -98,54 +97,13 @@ var Fig3bEdges = []float64{-10000, -1000, -100, -10, 0, 10, 100, 1000, 10000}
 // of the block OPT would evict from the target set. Positive deltas are
 // wrong insertions (the paper measures 38.38% for media streaming).
 func (s *Suite) Fig3b(app string) (*stats.Histogram, float64, error) {
-	w, err := s.Workload(app)
-	if err != nil {
+	if err := s.Require(Cell{app, deltaProbeScheme, "fdp"}); err != nil {
 		return nil, 0, err
 	}
-	cc := core.DefaultConfig()
-	cc.Variant = core.VariantAlwaysAdmit
-	sub := icache.MustNew(icache.Config{Sets: icache.DefaultSets, Ways: icache.DefaultWays, Policy: policy.NewLRU(), ACIC: &cc, NextUse: w.Oracle.Func(), Sample: s.sampleFilter(app)})
-	h := stats.NewHistogram(Fig3bEdges...)
-	var wrong, total uint64
-	sub.ACIC().OnDecision = func(d core.Decision) {
-		dIn := clampDist(w.Oracle.NextUse(d.Victim, d.AccessIdx) - d.AccessIdx)
-		// The outgoing block OPT would pick: the set line with the furthest
-		// next use at decision time.
-		set := sub.L1().SetIndex(d.Victim)
-		dOut := float64(0)
-		for _, ln := range sub.L1().Lines(set) {
-			if !ln.Valid {
-				continue
-			}
-			if v := clampDist(w.Oracle.NextUse(ln.Block, d.AccessIdx) - d.AccessIdx); v > dOut {
-				dOut = v
-			}
-		}
-		delta := dIn - dOut
-		h.Add(delta)
-		total++
-		if delta > 0 {
-			wrong++
-		}
-	}
-	if _, err := RunSubsystem(w, sub, s.options(app)); err != nil {
-		return nil, 0, err
-	}
-	frac := 0.0
-	if total > 0 {
-		frac = float64(wrong) / float64(total)
-	}
-	return h, frac, nil
+	p := s.probe(app, deltaProbeScheme)
+	h := p.histogram(Fig3bEdges)
+	return h, fraction(p.Wrong, h.NSamples), nil
 }
-
-func clampDist(d int64) float64 {
-	if d >= cacheNever {
-		return 1e12
-	}
-	return float64(d)
-}
-
-const cacheNever = int64(1) << 61
 
 // Fig6Edges bucket CSHR entry lifetimes (in set-local comparisons).
 var Fig6Edges = []float64{50, 100, 150, 200, 250, 300, 350, 400}
@@ -154,33 +112,10 @@ var Fig6Edges = []float64{50, 100, 150, 200, 250, 300, 350, 400}
 // the named app; unresolved (evicted) entries land in the overflow bucket,
 // mirroring the paper's "InF" bar.
 func (s *Suite) Fig6(app string) (*stats.Histogram, error) {
-	w, err := s.Workload(app)
-	if err != nil {
+	if err := s.Require(Cell{app, lifetimeProbeScheme, "fdp"}); err != nil {
 		return nil, err
 	}
-	cc := core.DefaultConfig()
-	// Measure lifetimes with an effectively unbounded CSHR so that "would
-	// never resolve" is separated from "evicted at 256 entries", as the
-	// paper's incremental-capacity study does.
-	cc.CSHR.Ways = 4096
-	sub := icache.MustNew(icache.Config{Sets: icache.DefaultSets, Ways: icache.DefaultWays, Policy: policy.NewLRU(), ACIC: &cc, Sample: s.sampleFilter(app)})
-	h := stats.NewHistogram(Fig6Edges...)
-	sub.ACIC().AgeSamples = func(age int64, resolved bool) {
-		if !resolved {
-			age = math.MaxInt32 // overflow bucket
-		}
-		h.Add(float64(age))
-	}
-	if _, err := RunSubsystem(w, sub, s.options(app)); err != nil {
-		return nil, err
-	}
-	// Entries still unresolved at the end of the run count as InF.
-	if occ := sub.ACIC().CSHR.Occupancy(); occ > 0 {
-		for i := 0; i < occ; i++ {
-			h.Add(math.MaxInt32)
-		}
-	}
-	return h, nil
+	return s.probe(app, lifetimeProbeScheme).histogram(Fig6Edges), nil
 }
 
 // Fig10 reports per-app speedups of every Fig 10 scheme over the LRU+FDP
@@ -246,51 +181,17 @@ var Fig12aRanges = []int64{0, 2048, 1024, 512, 256, 128}
 // distance falls inside each window, averaged across apps.
 func (s *Suite) Fig12a() (*stats.Table, error) {
 	apps := s.AppNames()
-	if err := s.PrepareAll(apps...); err != nil {
+	if err := s.Require(CrossCells(apps, []string{admitProbeScheme}, "fdp")...); err != nil {
 		return nil, err
 	}
-	// One instrumented run per app, reduced to per-range tallies inside
-	// the decision callback so no app's raw decision stream is retained;
-	// per-app partials merge in app order afterward.
-	type tally struct{ correct, count []int64 }
-	partials := make([]tally, len(apps))
-	err := s.each(len(apps), func(i int) error {
-		partials[i] = tally{make([]int64, len(Fig12aRanges)), make([]int64, len(Fig12aRanges))}
-		w := s.wl(apps[i])
-		cc := core.DefaultConfig()
-		sub := icache.MustNew(icache.Config{Sets: icache.DefaultSets, Ways: icache.DefaultWays, Policy: policy.NewLRU(), ACIC: &cc, Sample: s.sampleFilter(apps[i])})
-		sub.ACIC().OnDecision = func(d core.Decision) {
-			dIn := w.Oracle.NextUse(d.Victim, d.AccessIdx) - d.AccessIdx
-			dOut := w.Oracle.NextUse(d.Contender, d.AccessIdx) - d.AccessIdx
-			ideal := dIn < dOut
-			near := dIn
-			if dOut < near {
-				near = dOut
-			}
-			for ri, bound := range Fig12aRanges {
-				if bound != 0 && near >= bound {
-					continue
-				}
-				partials[i].count[ri]++
-				if ideal == d.Admitted {
-					partials[i].correct[ri]++
-				}
-			}
-		}
-		if _, err := RunSubsystem(w, sub, s.options(apps[i])); err != nil {
-			return err
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
+	// Per-app tallies merge in app order.
 	correct := make([]float64, len(Fig12aRanges))
 	counts := make([]float64, len(Fig12aRanges))
-	for i := range apps {
+	for _, app := range apps {
+		p := s.probe(app, admitProbeScheme)
 		for ri := range Fig12aRanges {
-			correct[ri] += float64(partials[i].correct[ri])
-			counts[ri] += float64(partials[i].count[ri])
+			correct[ri] += float64(p.Correct[ri])
+			counts[ri] += float64(p.Count[ri])
 		}
 	}
 	t := &stats.Table{Header: []string{"range", "avg accuracy"}}
@@ -330,26 +231,13 @@ func (s *Suite) Fig12b() (*stats.Table, error) {
 // Fig13 reports the percentage of i-Filter victims ACIC admits per app.
 func (s *Suite) Fig13() (*stats.Table, error) {
 	apps := s.AppNames()
-	if err := s.PrepareAll(apps...); err != nil {
-		return nil, err
-	}
-	admitted := make([]float64, len(apps))
-	err := s.each(len(apps), func(i int) error {
-		w := s.wl(apps[i])
-		cc := core.DefaultConfig()
-		sub := icache.MustNew(icache.Config{Sets: icache.DefaultSets, Ways: icache.DefaultWays, Policy: policy.NewLRU(), ACIC: &cc, Sample: s.sampleFilter(apps[i])})
-		if _, err := RunSubsystem(w, sub, s.options(apps[i])); err != nil {
-			return err
-		}
-		admitted[i] = sub.ACIC().AdmitFraction()
-		return nil
-	})
-	if err != nil {
+	if err := s.Require(CrossCells(apps, []string{admitProbeScheme}, "fdp")...); err != nil {
 		return nil, err
 	}
 	t := &stats.Table{Header: []string{"app", "admitted"}}
-	for i, app := range apps {
-		t.AddRow(app, stats.Percent(admitted[i]))
+	for _, app := range apps {
+		p := s.probe(app, admitProbeScheme)
+		t.AddRow(app, stats.Percent(fraction(p.Admitted, p.Decisions)))
 	}
 	return t, nil
 }
@@ -373,54 +261,54 @@ func (s *Suite) Fig14() (*stats.Table, error) {
 	return t, nil
 }
 
-// Fig15Variants are the sensitivity configurations of Fig 15.
-var Fig15Variants = []struct {
+// Variant is one row of a configuration sweep: its display name and the
+// scheme that simulates it.
+type Variant struct {
 	Name   string
-	Mutate func(*core.Config)
-}{
-	{"default", func(*core.Config) {}},
-	{"2k-hrt", func(c *core.Config) { c.Predictor.HRTEntries = 2048 }},
-	{"512-hrt", func(c *core.Config) { c.Predictor.HRTEntries = 512 }},
-	{"8bit-history", func(c *core.Config) { c.Predictor.HistoryBits = 8 }},
-	{"10bit-history", func(c *core.Config) { c.Predictor.HistoryBits = 10 }},
-	{"2bit-counter", func(c *core.Config) { c.Predictor.CounterBits = 2 }},
-	{"8bit-counter", func(c *core.Config) { c.Predictor.CounterBits = 8 }},
-	{"8-slot-filter", func(c *core.Config) { c.FilterSlots = 8 }},
-	{"32-slot-filter", func(c *core.Config) { c.FilterSlots = 32 }},
-	{"7bit-cshr-tag", func(c *core.Config) { c.CSHR.TagBits = 7 }},
-	{"27bit-cshr-tag", func(c *core.Config) { c.CSHR.TagBits = 27 }},
+	Scheme string
+}
+
+// Fig15Variants are the sensitivity configurations of Fig 15. The default
+// row is the plain acic cell; every other row is an acic@<variant> scheme
+// (probes.go).
+var Fig15Variants = []Variant{
+	{"default", "acic"},
+	{"2k-hrt", "acic@2k-hrt"},
+	{"512-hrt", "acic@512-hrt"},
+	{"8bit-history", "acic@8bit-history"},
+	{"10bit-history", "acic@10bit-history"},
+	{"2bit-counter", "acic@2bit-counter"},
+	{"8bit-counter", "acic@8bit-counter"},
+	{"8-slot-filter", "acic@8-slot-filter"},
+	{"32-slot-filter", "acic@32-slot-filter"},
+	{"7bit-cshr-tag", "acic@7bit-cshr-tag"},
+	{"27bit-cshr-tag", "acic@27bit-cshr-tag"},
+}
+
+// variantSchemes returns the schemes of a sweep's rows.
+func variantSchemes(rows []Variant) []string {
+	schemes := make([]string, len(rows))
+	for i, v := range rows {
+		schemes[i] = v.Scheme
+	}
+	return schemes
 }
 
 // Fig15 sweeps ACIC's key parameters and reports gmean speedup over the
 // baseline for each variant.
 func (s *Suite) Fig15() (*stats.Table, error) {
 	apps := s.AppNames()
-	if err := s.Require(CrossCells(apps, []string{Baseline}, "fdp")...); err != nil {
-		return nil, err
-	}
-	speedups := make([][]float64, len(Fig15Variants))
-	for i := range speedups {
-		speedups[i] = make([]float64, len(apps))
-	}
-	err := s.eachCell(len(Fig15Variants), len(apps), func(vi, ai int) error {
-		v, app := Fig15Variants[vi], apps[ai]
-		w := s.wl(app)
-		cc := core.DefaultConfig()
-		v.Mutate(&cc)
-		sub := icache.MustNew(icache.Config{Sets: icache.DefaultSets, Ways: icache.DefaultWays, Policy: policy.NewLRU(), ACIC: &cc, Sample: s.sampleFilter(app)})
-		res, err := RunSubsystem(w, sub, s.options(app))
-		if err != nil {
-			return err
-		}
-		speedups[vi][ai] = Speedup(s.res(app, Baseline, "fdp"), res)
-		return nil
-	})
-	if err != nil {
+	schemes := append([]string{Baseline}, variantSchemes(Fig15Variants)...)
+	if err := s.Require(CrossCells(apps, schemes, "fdp")...); err != nil {
 		return nil, err
 	}
 	t := &stats.Table{Header: []string{"variant", "gmean speedup"}}
-	for vi, v := range Fig15Variants {
-		t.AddRow(v.Name, stats.Geomean(speedups[vi]))
+	for _, v := range Fig15Variants {
+		var speedups []float64
+		for _, app := range apps {
+			speedups = append(speedups, s.speedupOver(app, Baseline, v.Scheme, "fdp"))
+		}
+		t.AddRow(v.Name, stats.Geomean(speedups))
 	}
 	return t, nil
 }

@@ -188,7 +188,7 @@ func TestRunGangCellsCrossPrefetcher(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res[i] != want {
+		if res[i].Result != want {
 			t.Errorf("cell %d (%s/%s): gang %+v != serial %+v", i, c.Scheme, c.Prefetcher, res[i], want)
 		}
 	}
@@ -222,7 +222,7 @@ func TestRunGangCellsPartialErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res[3] != want {
+	if res[3].Result != want {
 		t.Errorf("survivor after failed slots diverges: %+v != %+v", res[3], want)
 	}
 }
@@ -238,7 +238,7 @@ func TestRunGangCellsWindowSelection(t *testing.T) {
 		{Scheme: "lru", Prefetcher: "none"},
 		{Scheme: "acic", Prefetcher: "fdp"},
 	}
-	run := func(gw int) ([]cpu.Result, int) {
+	run := func(gw int) ([]CellResult, int) {
 		opts := DefaultOptions()
 		opts.GangWindow = gw
 		res, window, errs := RunGangCells(w, cells, opts)

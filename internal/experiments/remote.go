@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"acic/internal/cpu"
-	"acic/internal/experiments/engine"
-)
+import "acic/internal/experiments/engine"
 
 // Remote is the seam between a Suite and a distributed executor (the
 // coordinator in acic-coord). When set, Require routes each batch's
@@ -81,7 +78,7 @@ func (s *Suite) remoteDone(c Cell, err error) {
 	case engine.IsTransient(err):
 		s.rerunSerial(c)
 	default:
-		s.results.Fulfill(c, cpu.Result{}, err)
+		s.results.Fulfill(c, CellResult{}, err)
 	}
 }
 

@@ -149,11 +149,26 @@ func sampleOffsetFor(stride int, app string) int {
 // Run simulates one scheme over the workload and returns the result
 // (extrapolated when opts.Sample enables set sampling).
 func Run(w *Workload, scheme string, opts Options) (cpu.Result, error) {
-	sub, err := NewSampledScheme(scheme, w, opts.Sample)
+	r, err := runCell(w, scheme, opts)
+	return r.Result, err
+}
+
+// runCell simulates one cell's scheme and collects its probe tallies, if
+// the scheme is a probe variant.
+func runCell(w *Workload, scheme string, opts Options) (CellResult, error) {
+	sub, probe, err := buildScheme(scheme, w, opts.Sample)
 	if err != nil {
-		return cpu.Result{}, err
+		return CellResult{}, err
 	}
-	return RunSubsystem(w, sub, opts)
+	res, err := RunSubsystem(w, sub, opts)
+	if err != nil {
+		return CellResult{}, err
+	}
+	r := CellResult{Result: res}
+	if probe != nil {
+		r.Probe = probe()
+	}
+	return r, nil
 }
 
 // RunSampled simulates one scheme under set sampling: sampleSets of the
@@ -266,7 +281,11 @@ func RunGang(w *Workload, schemes []string, opts Options) (results []cpu.Result,
 	for i, scheme := range schemes {
 		cells[i] = GangCell{Scheme: scheme}
 	}
-	results, _, errs = RunGangCells(w, cells, opts)
+	cellResults, _, errs := RunGangCells(w, cells, opts)
+	results = make([]cpu.Result, len(cellResults))
+	for i, r := range cellResults {
+		results[i] = r.Result
+	}
 	return results, errs
 }
 
@@ -276,11 +295,13 @@ func RunGang(w *Workload, schemes []string, opts Options) (results []cpu.Result,
 // like cells; window reports the traversal window the gang ran under
 // (derived from measured footprints when opts.GangWindow is
 // AutoGangWindow). Each member's result is bit-identical to
-// Run(w, cell.Scheme, opts-with-cell.Prefetcher).
-func RunGangCells(w *Workload, cells []GangCell, opts Options) (results []cpu.Result, window int, errs []error) {
-	results = make([]cpu.Result, len(cells))
+// Run(w, cell.Scheme, opts-with-cell.Prefetcher), and probe members
+// carry the same tallies as a serial run of their cell.
+func RunGangCells(w *Workload, cells []GangCell, opts Options) (results []CellResult, window int, errs []error) {
+	results = make([]CellResult, len(cells))
 	errs = make([]error, len(cells))
 	subs := make([]icache.Subsystem, 0, len(cells))
+	probes := make([]func() *Probe, 0, len(cells))
 	pfs := make([]string, 0, len(cells))
 	slot := make([]int, 0, len(cells))
 	for i, c := range cells {
@@ -292,12 +313,13 @@ func RunGangCells(w *Workload, cells []GangCell, opts Options) (results []cpu.Re
 			errs[i] = err
 			continue
 		}
-		sub, err := NewSampledScheme(c.Scheme, w, opts.Sample)
+		sub, probe, err := buildScheme(c.Scheme, w, opts.Sample)
 		if err != nil {
 			errs[i] = err
 			continue
 		}
 		subs = append(subs, sub)
+		probes = append(probes, probe)
 		pfs = append(pfs, pf)
 		slot = append(slot, i)
 	}
@@ -311,7 +333,10 @@ func RunGangCells(w *Workload, cells []GangCell, opts Options) (results []cpu.Re
 		return results, window, errs
 	}
 	for j, r := range gangRes {
-		results[slot[j]] = r
+		results[slot[j]].Result = r
+		if probes[j] != nil {
+			results[slot[j]].Probe = probes[j]()
+		}
 	}
 	return results, window, errs
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"acic/internal/bypass"
 	"acic/internal/cache"
@@ -46,11 +47,30 @@ func NewScheme(name string, w *Workload) (icache.Subsystem, error) {
 // applied at construction time, so the shared fully-associative structures
 // (i-Filter, victim caches) are scaled to the sampled traffic fraction
 // (icache.Config.Sample). A zero sample config is exactly NewScheme.
+// Besides the registered names it accepts "acic@<variant>" (probes.go);
+// a probe variant's tallies are only reachable through the cell path.
 func NewSampledScheme(name string, w *Workload, sample cpu.SampleConfig) (icache.Subsystem, error) {
+	sub, _, err := buildScheme(name, w, sample)
+	return sub, err
+}
+
+// buildScheme is the one constructor behind every simulation cell, serial
+// (runCell) or ganged (RunGangCells): it builds the named subsystem and,
+// for a probe variant, returns the function that reads the probe's
+// tallies after the run (nil otherwise).
+func buildScheme(name string, w *Workload, sample cpu.SampleConfig) (icache.Subsystem, func() *Probe, error) {
 	if err := sample.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	filter := sample.Filter()
+	if variant, ok := strings.CutPrefix(name, "acic@"); ok {
+		return newACICVariant(variant, w, sample.Filter())
+	}
+	sub, err := newScheme(name, w, sample.Filter())
+	return sub, nil, err
+}
+
+// newScheme builds a registered (non-variant) scheme.
+func newScheme(name string, w *Workload, filter cache.SampleFilter) (icache.Subsystem, error) {
 	oracle := w.Oracle.Func()
 	base := func() icache.Config {
 		return icache.Config{Sets: icache.DefaultSets, Ways: icache.DefaultWays, Sample: filter}

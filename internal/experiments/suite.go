@@ -124,10 +124,10 @@ type Suite struct {
 	once     sync.Once
 	pool     *engine.Pool
 	pipeline *Pipeline
-	results  *engine.Group[Cell, cpu.Result]
+	results  *engine.Group[Cell, CellResult]
 	// resultStore is the disk cache behind results (nil without CacheDir),
 	// retained so FaultStats can report its quarantine count.
-	resultStore *engine.DiskCache[Cell, cpu.Result]
+	resultStore *engine.DiskCache[Cell, CellResult]
 	done        atomic.Int64
 	cacheErr    error
 
@@ -193,7 +193,7 @@ func (s *Suite) init() {
 		s.results = engine.NewGroup(s.pool, s.computeCell)
 		s.results.Retry = engine.DefaultRetry()
 		if s.CacheDir != "" {
-			cache, err := engine.NewDiskCache[Cell, cpu.Result](s.CacheDir, s.cacheKey)
+			cache, err := engine.NewDiskCache[Cell, CellResult](s.CacheDir, s.cacheKey)
 			if err != nil {
 				s.cacheErr = err
 			} else {
@@ -281,17 +281,17 @@ func (s *Suite) ctxErr() error {
 // computeCell runs one simulation cell. Cells that have not started when
 // the suite's Context is cancelled fail with the context error instead of
 // simulating.
-func (s *Suite) computeCell(c Cell) (cpu.Result, error) {
+func (s *Suite) computeCell(c Cell) (CellResult, error) {
 	if err := s.ctxErr(); err != nil {
-		return cpu.Result{}, err
+		return CellResult{}, err
 	}
 	w, err := s.pipeline.Workload(c.App)
 	if err != nil {
-		return cpu.Result{}, err
+		return CellResult{}, err
 	}
 	opts := s.options(c.App)
 	opts.Prefetcher = c.Prefetcher
-	return Run(w, c.Scheme, opts)
+	return runCell(w, c.Scheme, opts)
 }
 
 // AppNames returns the datacenter application list in paper order.
@@ -469,14 +469,14 @@ func (s *Suite) runGangTask(gang []Cell) {
 	}
 	if err := s.ctxErr(); err != nil {
 		for _, c := range pending {
-			s.results.Fulfill(c, cpu.Result{}, err)
+			s.results.Fulfill(c, CellResult{}, err)
 		}
 		return
 	}
 	w, err := s.pipeline.Workload(pending[0].App)
 	if err != nil {
 		for _, c := range pending {
-			s.results.Fulfill(c, cpu.Result{}, err)
+			s.results.Fulfill(c, CellResult{}, err)
 		}
 		return
 	}
@@ -519,9 +519,9 @@ func (s *Suite) runGangTask(gang []Cell) {
 // error means the gang as a whole produced nothing usable (the caller
 // degrades to serial); per-slot construction errors come back in errs
 // with the other slots' results intact.
-func (s *Suite) gangAttempt(w *Workload, app string, gcells []GangCell, opts Options) ([]cpu.Result, int, []error, error) {
+func (s *Suite) gangAttempt(w *Workload, app string, gcells []GangCell, opts Options) ([]CellResult, int, []error, error) {
 	type gangOut struct {
-		results []cpu.Result
+		results []CellResult
 		window  int
 		errs    []error
 	}
@@ -539,7 +539,7 @@ func (s *Suite) gangAttempt(w *Workload, app string, gcells []GangCell, opts Opt
 // fails only the figures needing this cell.
 func (s *Suite) rerunSerial(c Cell) {
 	s.serialReruns.Add(1)
-	res, err, retried := engine.Retry(s.results.Retry, c.String(), false, func() (cpu.Result, error) {
+	res, err, retried := engine.Retry(s.results.Retry, c.String(), false, func() (CellResult, error) {
 		return s.computeCell(c)
 	})
 	if retried > 0 {
@@ -563,7 +563,8 @@ func (s *Suite) GangStats() GangStats {
 // prefetcher (any name from Prefetchers()), computing it if needed.
 func (s *Suite) Result(app, scheme, prefetcher string) (cpu.Result, error) {
 	s.init()
-	return s.results.Get(Cell{App: app, Scheme: scheme, Prefetcher: prefetcher})
+	r, err := s.results.Get(Cell{App: app, Scheme: scheme, Prefetcher: prefetcher})
+	return r.Result, err
 }
 
 // res returns an already-planned result; renderers call it after a
@@ -574,6 +575,21 @@ func (s *Suite) res(app, scheme, prefetcher string) cpu.Result {
 		panic(err)
 	}
 	return r
+}
+
+// probe returns an already-planned probe cell's tallies under the FDP
+// platform (the one the mechanism figures measure); renderers call it
+// after a successful Require, at which point a missing probe is a logic
+// error.
+func (s *Suite) probe(app, scheme string) *Probe {
+	r, err := s.results.Get(Cell{App: app, Scheme: scheme, Prefetcher: "fdp"})
+	if err != nil {
+		panic(err)
+	}
+	if r.Probe == nil {
+		panic(fmt.Sprintf("experiments: cell %s|%s|fdp carries no probe", app, scheme))
+	}
+	return r.Probe
 }
 
 // SpeedupOver returns cycles(base)/cycles(scheme) for one app.
@@ -601,19 +617,12 @@ func (s *Suite) mpkiReductionOver(app, base, scheme, prefetcher string) float64 
 }
 
 // each runs fn(0..n-1) on the worker pool and waits; it powers the
-// instrumented per-app sweeps (Fig 3b-style runs that attach callbacks and
-// so cannot share plain cells). Results must be written to index-addressed
-// slots so rendering order stays deterministic.
+// non-simulation per-app analyses (Fig 1a, ext-headroom) — every
+// simulation is a Cell. Results must be written to index-addressed slots
+// so rendering order stays deterministic.
 func (s *Suite) each(n int, fn func(i int) error) error {
 	s.init()
 	return s.pool.Each(n, fn)
-}
-
-// eachCell flattens a rows × cols instrumented sweep (variant × app,
-// mode × app, ...) onto the worker pool; fn writes its outputs to
-// caller-owned (row, col)-addressed slots.
-func (s *Suite) eachCell(rows, cols int, fn func(row, col int) error) error {
-	return s.each(rows*cols, func(i int) error { return fn(i/cols, i%cols) })
 }
 
 // CacheError reports whether a persistent store requested via CacheDir or

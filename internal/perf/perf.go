@@ -438,7 +438,9 @@ func measureCrossSweep(w *experiments.Workload, cfg Config, row CrossSweepRow) (
 					}
 				}
 				usedWindow = ran
-				res = append(res, results...)
+				for _, r := range results {
+					res = append(res, r.Result)
+				}
 			}
 			if elapsed := time.Since(start); best == 0 || elapsed < best {
 				best = elapsed

@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"strings"
 	"testing"
 )
 
@@ -99,4 +102,44 @@ func assertInstsEqual(t *testing.T, want, got []Inst) {
 			t.Fatalf("inst %d: got %+v want %+v", i, got[i], want[i])
 		}
 	}
+}
+
+// TestReadRejectsCountBeyondPayload pins the decoder bound behind the
+// insz-count-bomb fuzz seed: a CRC-valid INSZ section declaring 2^32
+// records with a single run token must fail before any record allocation,
+// since no token expands to more than maxPackedRun records.
+func TestReadRejectsCountBeyondPayload(t *testing.T) {
+	payload := binary.AppendUvarint(nil, 1<<32)
+	payload = binary.AppendUvarint(payload, 3<<packedOpShift|packedOpRun)
+	var b bytes.Buffer
+	if err := WriteContainer(&b, "bomb", []Section{{Tag: SecInstsZ, Data: payload}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(bytes.NewReader(b.Bytes())); !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("Read = %v, want ErrBadFormat", err)
+	}
+	if _, err := DecodeInstsPacked(payload); err == nil || !strings.Contains(err.Error(), "exceeds what") {
+		t.Fatalf("DecodeInstsPacked = %v, want the count bound", err)
+	}
+	// A run token longer than maxPackedRun is rejected even under an
+	// honest-looking count.
+	long := binary.AppendUvarint(nil, maxPackedRun+1)
+	long = binary.AppendUvarint(long, (maxPackedRun+1)<<packedOpShift|packedOpRun)
+	if _, err := DecodeInstsPacked(long); err == nil {
+		t.Fatal("run token past maxPackedRun decoded")
+	}
+}
+
+// TestPackedEncoderSplitsLongRuns: a straight-line ALU run longer than
+// maxPackedRun encodes as several run tokens and round-trips.
+func TestPackedEncoderSplitsLongRuns(t *testing.T) {
+	insts := make([]Inst, 2*maxPackedRun+5)
+	for i := range insts {
+		insts[i] = Inst{PC: uint64(i+1) * instAlign, Class: ClassALU}
+	}
+	got, err := DecodeInstsPacked(EncodeInstsPacked(insts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertInstsEqual(t, insts, got)
 }

@@ -21,8 +21,9 @@ import (
 //	           u = zigzag((PC-prevPC)/4)   (instruction PCs are 4-aligned)
 //	           branches append uvarint(zigzag((Target-PC)/4))
 //	           loads/stores append uvarint(zigzag(MemAddr-prevMem))
-//	op 16:     a run of u sequential not-taken ALU instructions, each
-//	           advancing the PC by 4
+//	op 16:     a run of u (1..maxPackedRun) sequential not-taken ALU
+//	           instructions, each advancing the PC by 4; longer runs
+//	           split into several tokens
 //	op 17:     escape for records the folded forms cannot carry (PC or
 //	           target not 4-aligned): uvarint(zigzag(PC-prevPC)), the
 //	           SecInsts flags byte, then the SecInsts operand encoding
@@ -45,6 +46,13 @@ const (
 	packedOpRun    = 16 // u = run length of sequential ALU records
 	packedOpEscape = 17 // raw SecInsts-style record follows
 )
+
+// maxPackedRun caps the records one run token expands to. No payload byte
+// can therefore stand for more than maxPackedRun records, which is the
+// bound the decoder holds a section's declared count to before it
+// allocates. Straight-line ALU runs in real code are far shorter, so the
+// cap never splits a run in practice.
+const maxPackedRun = 1 << 16
 
 // EncodeInstsPacked encodes an instruction stream as a SecInstsZ payload.
 func EncodeInstsPacked(insts []Inst) []byte {
@@ -78,6 +86,9 @@ func (e *PackedEncoder) Append(insts []Inst) {
 	for i := range insts {
 		in := &insts[i]
 		if in.Class == ClassALU && !in.Taken && in.PC == e.prevPC+instAlign {
+			if e.run == maxPackedRun {
+				e.flushRun()
+			}
 			e.run++
 			e.prevPC = in.PC
 			continue
@@ -175,12 +186,11 @@ func AppendInstsPacked(dst []Inst, data []byte) ([]Inst, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: packed instruction count: truncated varint", ErrBadFormat)
 	}
-	// A run token covers many records in one payload byte, so the old
-	// ">= 1 byte per record" bound no longer caps count. Bound the upfront
-	// allocation instead: a lying count fails on a truncated token once
-	// the payload runs dry, after only bounded growth.
-	if count > maxSaneLen {
-		return nil, fmt.Errorf("%w: packed instruction count %d too large", ErrBadFormat, count)
+	// A run token covers up to maxPackedRun records, and every token takes
+	// at least one payload byte, so a count beyond that many records per
+	// remaining byte cannot be honest: reject it before allocating.
+	if count > maxSaneLen || count > uint64(len(data)-pos)*maxPackedRun {
+		return nil, fmt.Errorf("%w: packed instruction count %d exceeds what %d payload bytes can hold", ErrBadFormat, count, len(data)-pos)
 	}
 	if dst == nil {
 		dst = make([]Inst, 0, min(count, 1<<20))
@@ -196,7 +206,7 @@ func AppendInstsPacked(dst []Inst, data []byte) ([]Inst, error) {
 		var in Inst
 		switch {
 		case op == packedOpRun:
-			if u < 1 || u > count-n {
+			if u < 1 || u > maxPackedRun || u > count-n {
 				return nil, fmt.Errorf("%w: packed record %d: run of %d exceeds count %d", ErrBadFormat, n, u, count)
 			}
 			for k := uint64(0); k < u; k++ {
