@@ -19,21 +19,29 @@
 //	    to acic-bench's figure body for the same configuration
 //	GET /v1/experiments     — the registry (slug + description)
 //	GET /v1/healthz         — liveness
-//	GET /v1/stats           — engine/gang/fault/occupancy counters
+//	GET /v1/stats           — engine/gang/fault/occupancy/distrib counters
 //
 // Cell and figure responses carry strong ETags derived from the
 // content-addressed result-cache keys (experiments/keys.go), so
 // If-None-Match re-queries answer 304 without simulating and any HTTP
-// cache layer can front the daemon. -store-url points the suite at a
-// PR 9 shared store server instead of local directories, letting a
-// serve node front a distributed grid's results. Per-request fault
-// budgets (-fault-budget) and a per-cell circuit breaker
+// cache layer can front the daemon. Per-request fault budgets
+// (-fault-budget) and a per-cell circuit breaker
 // (-breaker-threshold/-breaker-cooldown) keep a degraded store or a
 // deterministically failing cell from burning compute on every query.
+//
+// With a result cache the daemon is also the coordinator for
+// acic-worker processes (DESIGN.md §14): /api/* is the work-stealing
+// protocol and, for a local -cache-dir, /blob/*, /quarantine/* and
+// /healthz serve that directory as the shared store. Workers need only
+// the daemon's URL, and while one is polling, cell batches the daemon
+// would simulate are sharded across the workers instead:
+//
+//	acic-serve -listen 127.0.0.1:9322 -cache-dir STORE &
+//	acic-worker -coord http://127.0.0.1:9322 &
+//	acic-worker -coord http://127.0.0.1:9322 &
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -41,7 +49,6 @@ import (
 	"net/http"
 	"os"
 	"strings"
-	"time"
 
 	"acic/cmd/internal/cliutil"
 	"acic/internal/api"
@@ -55,7 +62,7 @@ func main() {
 		n        = flag.Int("n", 0, "trace length in instructions (0 = ACIC_BENCH_N or 400000)")
 		apps     = flag.String("apps", "", "restrict datacenter apps (comma-separated)")
 		preload  = flag.String("preload", "", "warm at startup: 'grid' (the paper's scheme grid under fdp), 'all' (every registry experiment), or a comma-separated slug list; serving starts immediately, the preload fills the memo in the background")
-		storeURL = flag.String("store-url", "", "shared store server URL for results and artifacts (fronts a distributed grid's store; overrides -cache-dir/-artifact-dir)")
+		storeURL = flag.String("store-url", "", "store server URL for results and artifacts, e.g. another acic-serve with a local -cache-dir (overrides -cache-dir/-artifact-dir)")
 		budget   = flag.Int64("fault-budget", 0, "per-request fault budget: refuse a request (503 fault_budget_exhausted) whose service consumed more than this many fault recoveries (0 = unlimited)")
 		brkN     = flag.Int("breaker-threshold", engine.DefaultBreakerThreshold, "circuit breaker: consecutive deterministic cell failures before the cell's key trips open")
 		brkCool  = flag.Duration("breaker-cooldown", engine.DefaultBreakerCooldown, "circuit breaker: how long a tripped key refuses before admitting a half-open probe")
@@ -109,6 +116,9 @@ func main() {
 	}
 
 	srv := newServer(suite, engine.NewBreaker(*brkN, *brkCool), *budget)
+	if err := srv.acceptWorkers(); err != nil {
+		fail("%v", err)
+	}
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -134,12 +144,7 @@ func main() {
 
 	select {
 	case <-ctx.Done():
-		// Graceful drain: in-flight requests get a bounded grace period;
-		// cells already simulating run to completion (suite.Context
-		// cancels only work that has not started).
-		shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		httpSrv.Shutdown(shutCtx)
+		srv.drain(httpSrv)
 		fmt.Fprintln(os.Stderr, "acic-serve: interrupted, drained")
 	case err := <-serveErr:
 		if !errors.Is(err, http.ErrServerClosed) {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"acic/internal/api"
+	"acic/internal/distrib"
 	"acic/internal/experiments"
 	"acic/internal/experiments/engine"
 )
@@ -36,6 +38,13 @@ type server struct {
 	// charged for a neighbor's recovery — the budget is a degradation
 	// tripwire, not precise accounting (DESIGN.md §15).
 	faultBudget int64
+
+	// coord, when non-nil, schedules the suite's batches onto
+	// acic-worker processes while one is live; store, when non-nil, is
+	// the shared result store those workers publish into (set by
+	// acceptWorkers).
+	coord *distrib.Coordinator
+	store http.Handler
 
 	requests atomic.Int64
 	started  time.Time
@@ -64,8 +73,64 @@ func newServer(suite *experiments.Suite, breaker *engine.Breaker, faultBudget in
 	return s
 }
 
-// handler builds the /v1/ mux. Method checks are by hand so a wrong
-// verb gets the api envelope rather than ServeMux's plain-text 405.
+// acceptWorkers makes the daemon the coordinator for acic-worker
+// processes (DESIGN.md §14). Workers publish into the daemon's result
+// cache, so it needs one: an http(s) store is advertised as is, a local
+// -cache-dir is served as the shared store on the daemon's own listener
+// and advertised as no URL at all — workers then use the URL they reach
+// the daemon by, which stays right behind a wildcard -listen. With no
+// result cache there is nothing to share and the daemon stays
+// workerless. The suite routes work to the coordinator only while a
+// worker is live, so accepting workers costs a workerless daemon
+// nothing. Call before handler() and the first query.
+func (s *server) acceptWorkers() error {
+	storeURL := s.suite.CacheDir
+	switch {
+	case storeURL == "":
+		return nil
+	case !engine.IsStoreURL(storeURL):
+		store, err := engine.NewStoreHandler(storeURL)
+		if err != nil {
+			return err
+		}
+		s.store, storeURL = store, ""
+	}
+	s.coord = distrib.NewCoordinator(distrib.CoordinatorOptions{Config: distrib.Config{
+		N:            s.suite.N,
+		Apps:         s.suite.Apps,
+		SampleSets:   s.suite.SampleSets,
+		SampleOffset: s.suite.SampleOffset,
+		GangSize:     s.suite.GangSize,
+		GangWindow:   s.suite.GangWindow,
+		StoreURL:     storeURL,
+	}})
+	s.suite.Remote = s.coord
+	return nil
+}
+
+// drain shuts the daemon down gracefully within one bounded grace
+// period. The coordinator drains first, with the listener still up:
+// workers hear Done and exit 0 instead of dying on a refused connection,
+// and batches they hold still report, so requests waiting on them get
+// their answer. Then in-flight requests finish (cells already simulating
+// run to completion — suite.Context cancels only work that has not
+// started).
+func (s *server) drain(httpSrv *http.Server) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if s.coord != nil {
+		s.coord.Drain(ctx)
+	}
+	httpSrv.Shutdown(ctx)
+}
+
+// handler builds the daemon's mux: the /v1/ query API, plus the
+// coordinator protocol under /api/ and the shared store routes when
+// acceptWorkers set them up. Method checks are by hand so a wrong verb
+// gets the api envelope rather than ServeMux's plain-text 405.
+// Every /api/ path goes to the coordinator ahead of the mux, which
+// would redirect unclean ones (/api/../api/claim) rather than answer
+// them with an envelope.
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	get := func(path string, h http.HandlerFunc) {
@@ -84,11 +149,26 @@ func (s *server) handler() http.Handler {
 	get(api.Prefix+"experiments", s.handleExperiments)
 	get(api.Prefix+"figures/{name}", s.handleFigure)
 	get(api.Prefix+"cells", s.handleCells)
+	if s.store != nil {
+		for _, path := range []string{"/blob/", "/quarantine/", "/healthz"} {
+			mux.Handle(path, s.store)
+		}
+	}
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, http.StatusNotFound, &api.Error{
 			Code: api.CodeNotFound, Message: "no such endpoint: " + r.URL.Path + " (the API lives under " + api.Prefix + ")"})
 	})
-	return mux
+	if s.coord == nil {
+		return mux
+	}
+	coord := s.coord.Handler()
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/api/") {
+			coord.ServeHTTP(w, r)
+			return
+		}
+		mux.ServeHTTP(w, r)
+	})
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -109,6 +189,11 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	running, idle, queued := s.suite.Occupancy()
 	gs := s.suite.GangStats()
 	faultsJSON, _ := json.Marshal(s.suite.FaultStats())
+	var ds *api.DistribStats
+	if s.coord != nil {
+		st := s.coord.Stats()
+		ds = &st
+	}
 	api.WriteJSON(w, http.StatusOK, api.Stats{
 		Version:           api.Version,
 		N:                 s.suite.N,
@@ -125,6 +210,7 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Faults:        faultsJSON,
 		BreakersOpen:  s.breaker.OpenCount(),
 		UptimeSeconds: time.Since(s.started).Seconds(),
+		Distrib:       ds,
 	})
 }
 

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"acic/internal/api"
+	"acic/internal/distrib"
 	"acic/internal/experiments"
 	"acic/internal/experiments/engine"
 	"acic/internal/faults"
@@ -47,6 +50,76 @@ func newTestServer(t *testing.T, breaker *engine.Breaker, faultBudget int64) (*s
 	ts := httptest.NewServer(srv.handler())
 	t.Cleanup(ts.Close)
 	return srv, ts.URL
+}
+
+// newWorkerServer is newTestServer with a result cache in a scratch
+// directory, so the daemon accepts workers: it mounts the coordinator
+// and serves the cache as the shared store on its own listener. The
+// httptest server's *http.Server is returned for drain tests.
+func newWorkerServer(t *testing.T) (*server, string, *http.Server) {
+	t.Helper()
+	suite := newTestSuite(t)
+	suite.CacheDir = t.TempDir()
+	if err := suite.CacheError(); err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(suite, engine.NewBreaker(0, 0), 0)
+	if err := srv.acceptWorkers(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.coord.Close)
+	ts := httptest.NewServer(srv.handler())
+	t.Cleanup(ts.Close)
+	return srv, ts.URL, ts.Config
+}
+
+// startWorkers runs n in-process acic-workers against url; wait blocks
+// until all of them have returned and fails the test on any error.
+func startWorkers(t *testing.T, ctx context.Context, url string, n int) (wait func()) {
+	t.Helper()
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = distrib.RunWorker(ctx, distrib.WorkerOptions{Coord: url, Workers: 2, Name: fmt.Sprintf("w%d", i)})
+		}(i)
+	}
+	return func() {
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Errorf("worker %d: %v", i, err)
+			}
+		}
+	}
+}
+
+// distribStats reads the distrib block of /v1/stats, failing the test
+// when the daemon does not report one.
+func distribStats(t *testing.T, url string) api.DistribStats {
+	t.Helper()
+	var st api.Stats
+	if err := json.Unmarshal([]byte(body(t, get(t, url+"/v1/stats"))), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Distrib == nil {
+		t.Fatal("/v1/stats has no distrib block")
+	}
+	return *st.Distrib
+}
+
+// waitLive polls /v1/stats until a worker has claimed, so the query that
+// follows routes through the coordinator instead of racing the first
+// claim.
+func waitLive(t *testing.T, url string) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); !distribStats(t, url).Live; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no worker claimed within 30s")
+		}
+	}
 }
 
 func get(t *testing.T, url string, headers ...string) *http.Response {
@@ -388,6 +461,9 @@ func TestServeHealthzAndStats(t *testing.T) {
 	if err := json.Unmarshal(st.Faults, &fs); err != nil {
 		t.Errorf("stats.faults is not a FaultStats: %v", err)
 	}
+	if st.Distrib != nil {
+		t.Errorf("daemon without a result cache reports a distrib block: %+v", st.Distrib)
+	}
 }
 
 // cellsComputed reads /v1/stats' cells_computed counter.
@@ -447,6 +523,181 @@ func TestServeFig15CountsEverySimulation(t *testing.T) {
 	}
 	if got := cellsComputed(t, url2); got != 1 {
 		t.Errorf("variant cell query computed %d cells, want 1", got)
+	}
+}
+
+// TestServeWithWorkersByteIdentical: a daemon with two in-process
+// workers renders fig10 byte-identical to a workerless daemon, with the
+// cells completed remotely.
+func TestServeWithWorkersByteIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	_, plainURL := newTestServer(t, nil, 0)
+	want := body(t, get(t, plainURL+"/v1/figures/fig10"))
+
+	srv, url, _ := newWorkerServer(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	wait := startWorkers(t, ctx, url, 2)
+	waitLive(t, url)
+	resp := get(t, url+"/v1/figures/fig10")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET fig10 with workers = %s", resp.Status)
+	}
+	got := body(t, resp)
+	st := distribStats(t, url)
+	srv.coord.Close() // workers see Done and exit
+	wait()
+	if got != want {
+		t.Errorf("fig10 with workers differs from a workerless daemon\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	if st.Completed == 0 || st.Batches == 0 {
+		t.Errorf("distrib stats %+v: no cells completed remotely", st)
+	}
+}
+
+// TestServeWorkerlessNeverEnqueues pins "no cost without workers": a
+// daemon that accepts workers but has none answers a cold cell query
+// locally and never enqueues a batch, while its /api/ and store routes
+// are mounted. It advertises no store URL, so workers use the URL they
+// reach the daemon by as the shared store.
+func TestServeWorkerlessNeverEnqueues(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	_, url, _ := newWorkerServer(t)
+	resp := get(t, url+"/v1/cells?app="+testApp+"&scheme=lru,acic")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET cells = %s", resp.Status)
+	}
+	body(t, resp)
+	if got := cellsComputed(t, url); got != 2 {
+		t.Errorf("cold query computed %d cells locally, want 2", got)
+	}
+	if st := distribStats(t, url); st.Live || st.Batches != 0 {
+		t.Errorf("workerless distrib stats %+v, want not live and 0 batches", st)
+	}
+	var cfg api.WorkerConfig
+	if err := json.Unmarshal([]byte(body(t, get(t, url+"/api/config"))), &cfg); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.StoreURL != "" || cfg.N != testN {
+		t.Errorf("/api/config = %+v, want no store URL and n %d", cfg, testN)
+	}
+	var h api.Health
+	if err := json.Unmarshal([]byte(body(t, get(t, url+"/healthz"))), &h); err != nil || h.Status != "ok" {
+		t.Errorf("store /healthz = %+v (%v)", h, err)
+	}
+}
+
+// TestServeDrainReleasesWorkers: the daemon's shutdown drain closes the
+// coordinator before the listener, so a polling worker hears Done and
+// returns nil instead of failing on a refused connection.
+func TestServeDrainReleasesWorkers(t *testing.T) {
+	srv, url, httpSrv := newWorkerServer(t)
+	done := make(chan error, 1)
+	go func() {
+		done <- distrib.RunWorker(context.Background(), distrib.WorkerOptions{Coord: url, Workers: 1, Name: "w"})
+	}()
+	waitLive(t, url)
+	srv.drain(httpSrv)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("worker after drain: %v, want nil", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("worker still running 30s after the drain")
+	}
+}
+
+// TestServeDrainAnswersLeasedRequest: a drain that starts while a
+// worker holds the batch of an in-flight cell query keeps the listener up
+// until the worker reports, so the query is answered with its results
+// and the worker still exits 0.
+func TestServeDrainAnswersLeasedRequest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	srv, url, httpSrv := newWorkerServer(t)
+	workerDone := make(chan error, 1)
+	go func() {
+		workerDone <- distrib.RunWorker(context.Background(), distrib.WorkerOptions{Coord: url, Workers: 1, Name: "w"})
+	}()
+	waitLive(t, url)
+	type answer struct {
+		status int
+		cells  api.CellsResponse
+		err    error
+	}
+	answered := make(chan answer, 1)
+	go func() {
+		resp, err := http.Get(url + "/v1/cells?app=" + testApp + "&scheme=lru,acic")
+		if err != nil {
+			answered <- answer{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		a := answer{status: resp.StatusCode}
+		a.err = json.NewDecoder(resp.Body).Decode(&a.cells)
+		answered <- a
+	}()
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		if st := srv.coord.Stats(); st.Claimed > 0 && st.Completed == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the worker never held the query's batch")
+		}
+	}
+	srv.drain(httpSrv)
+	select {
+	case a := <-answered:
+		if a.err != nil || a.status != http.StatusOK {
+			t.Fatalf("query leased at drain: status %d, err %v", a.status, a.err)
+		}
+		for _, c := range a.cells.Cells {
+			if c.Error != nil {
+				t.Errorf("cell %+v: %+v", c.Cell, c.Error)
+			}
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("query leased at drain never answered")
+	}
+	if st := srv.coord.Stats(); st.Completed == 0 {
+		t.Errorf("distrib stats %+v: the leased batch was not reported", st)
+	}
+	select {
+	case err := <-workerDone:
+		if err != nil {
+			t.Errorf("worker after drain: %v, want nil", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("worker still running 30s after the drain")
+	}
+}
+
+// TestServeAPIPathsAnswerEnvelopes: on the daemon's listener, odd paths
+// under /api/ — unclean ones the daemon's mux would redirect — reach the
+// coordinator and are answered with an api.Envelope, not a redirect.
+func TestServeAPIPathsAnswerEnvelopes(t *testing.T) {
+	_, url, _ := newWorkerServer(t)
+	for _, path := range []string{"/api", "/api/", "/api/../api/claim", "/api/./config", "/api//claim", "/api/claim/", "/api/nope"} {
+		req, err := http.NewRequest(http.MethodPost, url+path, strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.URL.Opaque = path // keep the path unclean on the wire
+		resp, err := http.DefaultTransport.RoundTrip(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := body(t, resp)
+		var env api.Envelope
+		if err := json.Unmarshal([]byte(raw), &env); err != nil || env.Err == nil || env.Err.Code != api.CodeNotFound {
+			t.Errorf("POST %s = %d %q, want a not_found envelope", path, resp.StatusCode, raw)
+		}
 	}
 }
 

@@ -1,16 +1,18 @@
 // Command acic-worker is a stateless execution process for distributed
-// grid runs (DESIGN.md §14). Point it at an acic-coord URL and it
-// configures itself from GET /api/config — trace length, sampling, gang
-// policy, shared store — then steals same-app cell batches, runs each as
-// a local gang simulation, publishes results to the shared store, and
-// reports per-cell outcomes with the transient/deterministic split the
-// coordinator's rescheduling keys on. It exits 0 when the coordinator
-// reports the run is done, and may be killed at any time: its leased
-// batches expire and requeue, and whatever it already published stays
-// warm in the store.
+// grid runs (DESIGN.md §14). Point it at an acic-serve that has a result
+// cache (that daemon is the coordinator) and it configures itself from
+// GET /api/config: trace length, sampling, gang policy, shared store. It
+// then steals same-app cell batches, runs each as a local gang
+// simulation, publishes results to the shared store, and reports
+// per-cell outcomes with the transient/deterministic split the
+// coordinator's rescheduling keys on. It claims every 50 ms, busy or
+// not; those claims are what keep the daemon routing work to it. It
+// exits 0 when the daemon shuts down, and may be killed at any time: its
+// leased batches expire and requeue, and whatever it already published
+// stays warm in the store.
 //
-//	acic-worker -coord http://127.0.0.1:9321
-//	acic-worker -coord http://127.0.0.1:9321 -workers 4 -name rack2-a
+//	acic-worker -coord http://127.0.0.1:9322
+//	acic-worker -coord http://127.0.0.1:9322 -workers 4 -name rack2-a
 package main
 
 import (
@@ -24,7 +26,7 @@ import (
 
 func main() {
 	var (
-		coord     = flag.String("coord", "", "coordinator base URL (required), e.g. http://127.0.0.1:9321")
+		coord     = flag.String("coord", "", "coordinator base URL (required): an acic-serve with a result cache, e.g. http://127.0.0.1:9322")
 		workers   = flag.Int("workers", 0, "simulation worker pool size (0 = ACIC_WORKERS or GOMAXPROCS)")
 		name      = flag.String("name", "", "worker identity in claims and coordinator logs (empty = host-pid)")
 		verbose   = flag.Bool("v", false, "log claims and batch completions on stderr")

@@ -15,7 +15,8 @@ type WorkerConfig struct {
 	GangSize     int      `json:"gang_size,omitempty"`
 	GangWindow   int      `json:"gang_window,omitempty"`
 	// StoreURL is the shared blob store every worker must point its
-	// cache and artifact dirs at.
+	// cache and artifact dirs at; empty means the coordinator serves the
+	// store on its own listener, at the URL the worker reached it by.
 	StoreURL string `json:"store_url,omitempty"`
 }
 
@@ -61,6 +62,17 @@ type CompleteRequest struct {
 	Worker  string       `json:"worker"`
 	BatchID int64        `json:"batch_id"`
 	Results []CellResult `json:"results"`
+}
+
+// DistribStats is the coordinator's liveness and scheduling snapshot:
+// the distrib block of Stats.
+type DistribStats struct {
+	Live      bool  `json:"live"`       // a worker claimed within the liveness window
+	Batches   int64 `json:"batches"`    // batches ever enqueued (including requeues)
+	Claimed   int64 `json:"claimed"`    // batches handed to workers
+	Completed int64 `json:"completed"`  // cells completed by workers (success or final error)
+	Requeued  int64 `json:"requeued"`   // batches requeued after lease expiry or transient failure
+	LocalFell int64 `json:"local_fell"` // cells failed back to the daemon's local ladder
 }
 
 // --- acic-serve query API ---
@@ -111,7 +123,8 @@ type GangStats struct {
 
 // Stats answers GET /v1/stats: the serve daemon's configuration echo
 // plus engine counters. Faults is the experiments.FaultStats object
-// (kept raw here so this package stays import-free).
+// (kept raw here so this package stays import-free). Distrib is present
+// when the daemon accepts workers (it has a result cache to share).
 type Stats struct {
 	Version           string          `json:"version"`
 	N                 int             `json:"n"`
@@ -127,4 +140,5 @@ type Stats struct {
 	Faults            json.RawMessage `json:"faults,omitempty"`
 	BreakersOpen      int             `json:"breakers_open"`
 	UptimeSeconds     float64         `json:"uptime_seconds"`
+	Distrib           *DistribStats   `json:"distrib,omitempty"`
 }

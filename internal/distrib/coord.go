@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -22,24 +23,28 @@ type CoordinatorOptions struct {
 	// the sweeper presumes its worker dead and requeues it (default 30s —
 	// generously above one gang's latency at bench trace lengths).
 	Lease time.Duration
-	// MaxRequeues bounds how many times one batch's cells are requeued
-	// (lease expiries and transient failures both count) before they fail
-	// transiently back into the Suite's local ladder. Default 3.
-	MaxRequeues int
-	// NoWorkerTimeout, when > 0, bounds how long queued work waits with
-	// no worker contact at all before failing back to local execution;
-	// 0 waits forever.
-	NoWorkerTimeout time.Duration
 }
 
-// CoordinatorStats snapshots scheduling activity.
-type CoordinatorStats struct {
-	Batches   int64 // batches ever enqueued (including requeues)
-	Claimed   int64 // batches handed to workers
-	Completed int64 // cells completed by workers (success or final error)
-	Requeued  int64 // batches requeued after lease expiry or transient failure
-	LocalFell int64 // cells failed back to the Suite's local ladder
-}
+const (
+	// maxRequeues bounds how many times one batch's cells are requeued
+	// (lease expiries and transient failures both count) before they fail
+	// transiently back into the Suite's local ladder.
+	maxRequeues = 3
+	// PollInterval is the claim cadence of a worker with nothing to
+	// take. Workers keep claiming while busy — a Want 0 claim is a
+	// heartbeat — so a live worker is heard from at least this often.
+	PollInterval = 50 * time.Millisecond
+	// liveWindow is how recently a worker must have claimed for the
+	// coordinator to be Live: forty missed polls, generous against GC
+	// pauses on a loaded host, short enough that work stops waiting on a
+	// vanished worker pool within seconds.
+	liveWindow = 2 * time.Second
+	// maxBodyBytes caps /api/claim and /api/complete bodies. A complete
+	// report is one batch's cell outcomes — a few KB — so a megabyte is
+	// ample headroom while keeping a client on the public listener from
+	// streaming an unbounded body into the decoder.
+	maxBodyBytes = 1 << 20
+)
 
 // batch is the coordinator-side state of one steal unit.
 type batch struct {
@@ -52,23 +57,25 @@ type batch struct {
 	worker   string
 }
 
-// Coordinator is the work-stealing scheduler behind acic-coord. It
-// implements experiments.Remote: the Suite submits same-app cell groups,
-// workers claim them over HTTP, and each cell's completion flows back
-// through the done callback with PR 8's transient/deterministic split
-// intact. All methods are safe for concurrent use.
+// Coordinator is the work-stealing scheduler behind acic-serve's /api/
+// routes. It implements experiments.Remote: the Suite submits same-app
+// cell groups while a worker is Live, workers claim them over HTTP, and
+// each cell's completion flows back through the done callback with the
+// engine's transient/deterministic split intact. All methods are safe
+// for concurrent use.
 type Coordinator struct {
-	cfg         Config
-	lease       time.Duration
-	maxRequeues int
-	noWorker    time.Duration
+	cfg   Config
+	lease time.Duration
 
-	mu          sync.Mutex
-	nextID      int64
-	ready       []*batch
-	leased      map[int64]*batch
-	closed      bool
-	lastContact time.Time
+	mu     sync.Mutex
+	nextID int64
+	ready  []*batch
+	leased map[int64]*batch
+	closed bool
+
+	// lastClaim is the UnixNano of the latest claim (0 = never), read
+	// lock-free by Live on every Suite.Require.
+	lastClaim atomic.Int64
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -86,30 +93,31 @@ var _ experiments.Remote = (*Coordinator)(nil)
 // Call Close when the run is over.
 func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	c := &Coordinator{
-		cfg:         opts.Config,
-		lease:       opts.Lease,
-		maxRequeues: opts.MaxRequeues,
-		noWorker:    opts.NoWorkerTimeout,
-		leased:      make(map[int64]*batch),
-		lastContact: time.Now(),
-		stop:        make(chan struct{}),
+		cfg:    opts.Config,
+		lease:  opts.Lease,
+		leased: make(map[int64]*batch),
+		stop:   make(chan struct{}),
 	}
 	if c.lease <= 0 {
 		c.lease = 30 * time.Second
-	}
-	if c.maxRequeues <= 0 {
-		c.maxRequeues = 3
 	}
 	go c.sweep()
 	return c
 }
 
 // Submit implements experiments.Remote: one same-app cell group becomes
-// one batch on the ready queue. Never blocks on completion.
+// one batch on the ready queue — or, once the coordinator is closed and
+// no worker will claim again, fails straight back to local execution.
+// Never blocks on completion.
 func (c *Coordinator) Submit(app string, cells []experiments.Cell, done func(experiments.Cell, error)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.enqueue(&batch{app: app, cells: cells, done: done})
+	b := &batch{app: app, cells: cells, done: done}
+	if c.closed {
+		c.failLocal(b, "coordinator closed")
+		return
+	}
+	c.enqueue(b)
 }
 
 // enqueue assigns a fresh ID and appends to the ready queue (FIFO).
@@ -137,22 +145,37 @@ func (c *Coordinator) failLocal(b *batch, cause string) {
 	}()
 }
 
+// failReady fails every queued batch back to local execution. Caller
+// holds mu.
+func (c *Coordinator) failReady(cause string) {
+	for _, b := range c.ready {
+		c.failLocal(b, cause)
+	}
+	c.ready = nil
+}
+
+// Live reports whether a worker has claimed within the liveness window.
+// Suite.Require asks before routing a batch here, so a coordinator no
+// worker polls costs nothing: its suite computes locally, exactly as if
+// there were no coordinator at all.
+func (c *Coordinator) Live() bool {
+	return time.Since(time.Unix(0, c.lastClaim.Load())) < liveWindow
+}
+
 // Claim grants up to req.Want ready batches, stamping each with a lease.
-// A Want of 0 (or an empty queue) grants nothing; Done reports the
-// coordinator is closed and the worker should exit.
+// A Want of 0 (or an empty queue) grants nothing but still counts as the
+// worker's heartbeat; Done reports the coordinator is closed and the
+// worker should exit.
 func (c *Coordinator) Claim(req ClaimRequest) ClaimResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.lastContact = time.Now()
+	c.lastClaim.Store(time.Now().UnixNano())
 	if c.closed {
 		return ClaimResponse{Done: true}
 	}
-	n := req.Want
-	if n > len(c.ready) {
-		n = len(c.ready)
-	}
+	n := min(req.Want, len(c.ready))
 	if n <= 0 {
-		return ClaimResponse{WaitMillis: 50}
+		return ClaimResponse{WaitMillis: PollInterval.Milliseconds()}
 	}
 	resp := ClaimResponse{Batches: make([]Batch, 0, n)}
 	deadline := time.Now().Add(c.lease)
@@ -182,7 +205,6 @@ func (c *Coordinator) Complete(req CompleteRequest) {
 	if ok {
 		delete(c.leased, req.BatchID)
 	}
-	c.lastContact = time.Now()
 	c.mu.Unlock()
 	if !ok {
 		return
@@ -222,7 +244,7 @@ func (c *Coordinator) requeueCells(b *batch, cells []experiments.Cell, cause str
 	nb := &batch{app: b.app, cells: cells, done: b.done, requeues: b.requeues + 1}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if nb.requeues > c.maxRequeues || c.closed {
+	if nb.requeues > maxRequeues || c.closed {
 		c.failLocal(nb, cause)
 		return
 	}
@@ -231,8 +253,8 @@ func (c *Coordinator) requeueCells(b *batch, cells []experiments.Cell, cause str
 }
 
 // sweep requeues leased batches whose deadline passed (their worker is
-// presumed dead) and, under NoWorkerTimeout, fails queued work back to
-// local execution when no worker has made contact for too long.
+// presumed dead) and fails queued work back to local execution once no
+// worker is Live — nobody is left to claim it.
 func (c *Coordinator) sweep() {
 	interval := c.lease / 4
 	if interval < 5*time.Millisecond {
@@ -258,13 +280,8 @@ func (c *Coordinator) sweep() {
 				expired = append(expired, b)
 			}
 		}
-		var starved []*batch
-		if c.noWorker > 0 && len(c.ready) > 0 && now.Sub(c.lastContact) > c.noWorker {
-			starved = c.ready
-			c.ready = nil
-			for _, b := range starved {
-				c.failLocal(b, "no worker contact")
-			}
+		if len(c.ready) > 0 && !c.Live() {
+			c.failReady("no live worker")
 		}
 		c.mu.Unlock()
 		for _, b := range expired {
@@ -274,24 +291,60 @@ func (c *Coordinator) sweep() {
 }
 
 // Close ends the run: subsequent claims answer Done, the sweeper stops,
-// and anything still queued fails back to local execution (it should be
-// nothing — the Suite's Require returns only once every submitted cell
-// completed).
+// and every batch not yet reported — queued or leased — fails back to
+// local execution, so no submitted cell is left without an outcome. A
+// worker's late report of a batch failed back here is ignored as stale.
+// After a run whose Require calls all returned there is nothing left to
+// fail back; a daemon shutting down with requests in flight calls Drain.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	c.closed = true
-	orphans := c.ready
-	c.ready = nil
-	for _, b := range orphans {
-		c.failLocal(b, "coordinator closed")
+	c.failReady("coordinator closed")
+	for id, b := range c.leased {
+		delete(c.leased, id)
+		c.failLocal(b, "coordinator closed before the worker reported")
 	}
 	c.mu.Unlock()
 	c.stopOnce.Do(func() { close(c.stop) })
 }
 
-// Stats snapshots the coordinator's scheduling counters.
-func (c *Coordinator) Stats() CoordinatorStats {
-	return CoordinatorStats{
+// Drain is the graceful Close, bounded by ctx. Claims answer Done at
+// once and queued work fails back to local execution, but batches a
+// worker already holds get until ctx ends to report — cells already
+// simulating run to completion — and a live worker pool gets at least
+// three claim polls to hear Done. The caller must keep the listener up
+// until Drain returns, so those reports and claims can still arrive.
+func (c *Coordinator) Drain(ctx context.Context) {
+	c.mu.Lock()
+	c.closed = true
+	c.failReady("coordinator closed")
+	c.mu.Unlock()
+	hold := time.Now().Add(3 * PollInterval)
+	tick := time.NewTicker(PollInterval / 5)
+	defer tick.Stop()
+	for c.leases() > 0 || (c.Live() && time.Now().Before(hold)) {
+		select {
+		case <-ctx.Done():
+			c.Close()
+			return
+		case <-tick.C:
+		}
+	}
+	c.Close()
+}
+
+// leases counts the batches workers hold but have not reported.
+func (c *Coordinator) leases() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.leased)
+}
+
+// Stats snapshots the coordinator's liveness and scheduling counters:
+// the distrib block of acic-serve's /v1/stats.
+func (c *Coordinator) Stats() api.DistribStats {
+	return api.DistribStats{
+		Live:      c.Live(),
 		Batches:   c.batches.Load(),
 		Claimed:   c.claimed.Load(),
 		Completed: c.completed.Load(),
@@ -306,56 +359,55 @@ func (c *Coordinator) Stats() CoordinatorStats {
 //	POST /api/claim    — ClaimRequest -> ClaimResponse
 //	POST /api/complete — CompleteRequest -> 204
 //
-// Errors are api.Envelope: malformed bodies are bad_request, wrong
-// verbs are method_not_allowed. Mount it alongside an
-// engine.NewStoreHandler on one listener and a single -coord URL serves
-// both scheduling and the shared store.
+// Errors are api.Envelope: malformed or oversized bodies are
+// bad_request, wrong verbs method_not_allowed, any other path not_found.
+// Routing is an exact path switch rather than a ServeMux, which would
+// answer unclean paths (/api/../api/claim) with a redirect instead of an
+// envelope; acic-serve hands every /api/ path to this handler ahead of
+// its own mux for the same reason.
 func (c *Coordinator) Handler() http.Handler {
-	// Methods are checked by hand rather than with mux method patterns so
-	// a wrong verb gets the envelope, not ServeMux's plain-text 405.
-	requireMethod := func(w http.ResponseWriter, r *http.Request, method string) bool {
-		if r.Method != method {
-			api.WriteError(w, http.StatusMethodNotAllowed, &api.Error{
-				Code: api.CodeMethodNotAllowed, Message: r.URL.Path + " requires " + method})
-			return false
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/api/config":
+			if requireMethod(w, r, http.MethodGet) {
+				api.WriteJSON(w, http.StatusOK, c.cfg)
+			}
+		case "/api/claim":
+			var req ClaimRequest
+			if requireMethod(w, r, http.MethodPost) && decodeBody(w, r, "claim", &req) {
+				api.WriteJSON(w, http.StatusOK, c.Claim(req))
+			}
+		case "/api/complete":
+			var req CompleteRequest
+			if requireMethod(w, r, http.MethodPost) && decodeBody(w, r, "complete", &req) {
+				c.Complete(req)
+				w.WriteHeader(http.StatusNoContent)
+			}
+		default:
+			api.WriteError(w, http.StatusNotFound, &api.Error{
+				Code: api.CodeNotFound, Message: "no such endpoint: " + r.URL.Path})
 		}
+	})
+}
+
+// requireMethod answers method_not_allowed unless r uses method.
+func requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
+	if r.Method == method {
 		return true
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/api/config", func(w http.ResponseWriter, r *http.Request) {
-		if !requireMethod(w, r, http.MethodGet) {
-			return
-		}
-		api.WriteJSON(w, http.StatusOK, c.cfg)
-	})
-	mux.HandleFunc("/api/claim", func(w http.ResponseWriter, r *http.Request) {
-		if !requireMethod(w, r, http.MethodPost) {
-			return
-		}
-		var req ClaimRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			api.WriteError(w, http.StatusBadRequest, &api.Error{
-				Code: api.CodeBadRequest, Message: "claim body: " + err.Error()})
-			return
-		}
-		api.WriteJSON(w, http.StatusOK, c.Claim(req))
-	})
-	mux.HandleFunc("/api/complete", func(w http.ResponseWriter, r *http.Request) {
-		if !requireMethod(w, r, http.MethodPost) {
-			return
-		}
-		var req CompleteRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			api.WriteError(w, http.StatusBadRequest, &api.Error{
-				Code: api.CodeBadRequest, Message: "complete body: " + err.Error()})
-			return
-		}
-		c.Complete(req)
-		w.WriteHeader(http.StatusNoContent)
-	})
-	mux.HandleFunc("/api/", func(w http.ResponseWriter, r *http.Request) {
-		api.WriteError(w, http.StatusNotFound, &api.Error{
-			Code: api.CodeNotFound, Message: "no such endpoint: " + r.URL.Path})
-	})
-	return mux
+	api.WriteError(w, http.StatusMethodNotAllowed, &api.Error{
+		Code: api.CodeMethodNotAllowed, Message: r.URL.Path + " requires " + method})
+	return false
+}
+
+// decodeBody decodes the request's JSON body, capped at maxBodyBytes,
+// into v; on failure it answers bad_request and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	api.WriteError(w, http.StatusBadRequest, &api.Error{
+		Code: api.CodeBadRequest, Message: what + " body: " + err.Error()})
+	return false
 }

@@ -37,7 +37,7 @@ func testSuiteConfig() Config {
 
 // newTestGrid wires the full distributed fixture: a scratch store and a
 // coordinator served from one httptest listener (the same one-URL layout
-// acic-coord uses), and a coordinator-side Suite whose Remote is the
+// acic-serve uses), and a coordinator-side Suite whose Remote is the
 // coordinator and whose stores are the local view of the shared root.
 func newTestGrid(t *testing.T, opts CoordinatorOptions) (*experiments.Suite, *Coordinator, string) {
 	t.Helper()
@@ -67,6 +67,20 @@ func newTestGrid(t *testing.T, opts CoordinatorOptions) (*experiments.Suite, *Co
 		t.Fatal(err)
 	}
 	return s, coord, srv.URL
+}
+
+// waitLive blocks until a worker has claimed, so the render that follows
+// routes through the coordinator instead of racing the first claim and
+// running locally.
+func waitLive(t *testing.T, coord *Coordinator) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for !coord.Live() {
+		if time.Now().After(deadline) {
+			t.Fatal("no worker claimed within 30s")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // renderAll runs the test experiment subset and concatenates their
@@ -134,6 +148,7 @@ func TestDistributedByteIdentical(t *testing.T) {
 					}
 				}(i)
 			}
+			waitLive(t, coord)
 			got := renderAll(t, s)
 			coord.Close() // workers see Done and exit
 			wg.Wait()
@@ -176,6 +191,7 @@ func TestDistributedVariantAndProbeCells(t *testing.T) {
 			}
 		}(i)
 	}
+	waitLive(t, coord)
 	got := renderSlugs(t, s, slugs)
 	coord.Close()
 	wg.Wait()
@@ -204,6 +220,11 @@ func TestWorkerDeathRequeues(t *testing.T) {
 		t.Skip("simulation grid")
 	}
 	s, coord, url := newTestGrid(t, CoordinatorOptions{Config: testSuiteConfig(), Lease: 300 * time.Millisecond})
+
+	// The zombie's Want 0 heartbeat makes the coordinator live, so the
+	// render routes its batches remotely.
+	coord.Claim(ClaimRequest{Worker: "zombie"})
+	waitLive(t, coord)
 
 	// Render in the background; the grid blocks until workers (or the
 	// ladder) produce every cell.
@@ -253,25 +274,101 @@ func TestWorkerDeathRequeues(t *testing.T) {
 	}
 }
 
-// TestNoWorkerFallsBackLocal pins liveness with zero workers: under
-// NoWorkerTimeout the queued batches fail transiently back into the
-// Suite, whose serial ladder computes every cell locally — the run
-// finishes, merely without speedup.
+// TestNoWorkerFallsBackLocal pins the liveness rule with zero workers:
+// no worker has ever claimed, so Require takes the local path without
+// waiting — nothing is enqueued, and the output is the single-process
+// bytes.
 func TestNoWorkerFallsBackLocal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation grid")
 	}
-	s, coord, _ := newTestGrid(t, CoordinatorOptions{
-		Config:          testSuiteConfig(),
-		Lease:           time.Second,
-		NoWorkerTimeout: 200 * time.Millisecond,
-	})
+	s, coord, _ := newTestGrid(t, CoordinatorOptions{Config: testSuiteConfig()})
 	got := renderAll(t, s)
 	if want := localReference(t); got != want {
-		t.Errorf("local-fallback output differs from single-process\n--- got ---\n%s--- want ---\n%s", got, want)
+		t.Errorf("workerless output differs from single-process\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
-	if st := coord.Stats(); st.LocalFell == 0 {
-		t.Errorf("no cells fell back locally (stats %+v)", st)
+	if st := coord.Stats(); st.Live || st.Batches != 0 {
+		t.Errorf("workerless coordinator stats %+v, want not live and no batches", st)
+	}
+}
+
+// TestQueuedWorkFailsBackWhenWorkersGoQuiet: work submitted while a
+// worker was live, whose worker then stops claiming, fails transiently
+// back to local execution once the liveness window lapses — it never
+// waits on a worker pool that is gone.
+func TestQueuedWorkFailsBackWhenWorkersGoQuiet(t *testing.T) {
+	coord := NewCoordinator(CoordinatorOptions{Config: testSuiteConfig(), Lease: 100 * time.Millisecond})
+	defer coord.Close()
+	coord.Claim(ClaimRequest{Worker: "ghost"}) // one heartbeat, then silence
+	if !coord.Live() {
+		t.Fatal("coordinator not live right after a claim")
+	}
+	cell := experiments.Cell{App: "media-streaming", Scheme: "lru", Prefetcher: "fdp"}
+	errs := make(chan error, 1)
+	coord.Submit(cell.App, []experiments.Cell{cell}, func(_ experiments.Cell, err error) { errs <- err })
+	select {
+	case err := <-errs:
+		if !engine.IsTransient(err) {
+			t.Errorf("fail-back error %v is not transient", err)
+		}
+	case <-time.After(10 * liveWindow):
+		t.Fatal("queued batch never failed back after the worker went quiet")
+	}
+	if st := coord.Stats(); st.Live || st.LocalFell != 1 || st.Claimed != 0 {
+		t.Errorf("stats %+v, want not live, 1 cell fell back local, 0 claimed", st)
+	}
+}
+
+// TestSubmitAfterCloseFailsBack: a batch submitted to a closed
+// coordinator — a query racing the daemon's drain — runs locally
+// instead of waiting on workers already told Done.
+func TestSubmitAfterCloseFailsBack(t *testing.T) {
+	coord := NewCoordinator(CoordinatorOptions{Config: testSuiteConfig()})
+	coord.Close()
+	cell := experiments.Cell{App: "media-streaming", Scheme: "lru", Prefetcher: "fdp"}
+	errs := make(chan error, 1)
+	coord.Submit(cell.App, []experiments.Cell{cell}, func(_ experiments.Cell, err error) { errs <- err })
+	select {
+	case err := <-errs:
+		if !engine.IsTransient(err) {
+			t.Errorf("fail-back error %v is not transient", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("batch submitted after Close never completed")
+	}
+}
+
+// TestCloseFailsBackLeased: Close fails a batch a worker still holds
+// back to local execution, so no cell waits on a report that can no
+// longer arrive, and the worker's late report is ignored as stale.
+func TestCloseFailsBackLeased(t *testing.T) {
+	coord := NewCoordinator(CoordinatorOptions{Config: testSuiteConfig()})
+	cell := experiments.Cell{App: "media-streaming", Scheme: "lru", Prefetcher: "fdp"}
+	errs := make(chan error, 2)
+	coord.Claim(ClaimRequest{Worker: "w"}) // live, so the batch waits for a claim
+	coord.Submit(cell.App, []experiments.Cell{cell}, func(_ experiments.Cell, err error) { errs <- err })
+	resp := coord.Claim(ClaimRequest{Worker: "w", Want: 1})
+	if len(resp.Batches) != 1 {
+		t.Fatalf("claim granted %d batches, want 1", len(resp.Batches))
+	}
+	coord.Close()
+	select {
+	case err := <-errs:
+		if !engine.IsTransient(err) {
+			t.Errorf("fail-back error %v is not transient", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("leased batch never failed back after Close")
+	}
+	coord.Complete(CompleteRequest{Worker: "w", BatchID: resp.Batches[0].ID,
+		Results: []CellResult{{Cell: cell.API()}}})
+	select {
+	case err := <-errs:
+		t.Errorf("late report settled the cell a second time (err %v)", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	if st := coord.Stats(); st.LocalFell != 1 || st.Completed != 0 {
+		t.Errorf("stats %+v, want 1 cell fell back local and none completed", st)
 	}
 }
 
@@ -305,6 +402,7 @@ func TestNetErrFaultedRunStaysIdentical(t *testing.T) {
 			}
 		}(i)
 	}
+	waitLive(t, coord)
 	got := renderAll(t, s)
 	coord.Close()
 	wg.Wait()

@@ -94,8 +94,8 @@ func (cl *client) complete(req CompleteRequest) error {
 
 // WorkerOptions configures RunWorker.
 type WorkerOptions struct {
-	// Coord is the coordinator base URL (also serving the store by
-	// default; the fetched Config carries the authoritative StoreURL).
+	// Coord is the coordinator base URL. It is also the shared store
+	// unless the fetched Config names another StoreURL.
 	Coord string
 	// Workers bounds the worker's pool (0 = ACIC_WORKERS or GOMAXPROCS).
 	Workers int
@@ -113,7 +113,7 @@ const workerFailBudget = 5
 
 // RunWorker runs one stateless worker against a coordinator: fetch the
 // run Config, build a Suite whose cache and artifact store point at the
-// shared StoreURL, then steal batches until the coordinator reports Done
+// shared store, then steal batches until the coordinator reports Done
 // (or ctx cancels). Every claimed batch is executed as a local gang via
 // Suite.Require — the same code path a single-process run takes, which is
 // the determinism argument: results are computed identically and
@@ -134,15 +134,16 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	if err != nil {
 		return fmt.Errorf("distrib: worker %s: fetch config from %s: %w", name, opts.Coord, err)
 	}
-	if cfg.StoreURL == "" {
-		return fmt.Errorf("distrib: worker %s: coordinator config has no store URL", name)
+	store := cfg.StoreURL
+	if store == "" {
+		store = opts.Coord // the coordinator serves the store itself
 	}
 
 	s := experiments.NewSuite(cfg.N)
 	s.Apps = cfg.Apps
 	s.Workers = opts.Workers
-	s.CacheDir = cfg.StoreURL
-	s.ArtifactDir = cfg.StoreURL
+	s.CacheDir = store
+	s.ArtifactDir = store
 	s.SampleSets = cfg.SampleSets
 	s.SampleOffset = cfg.SampleOffset
 	s.GangSize = cfg.GangSize
@@ -151,7 +152,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	if err := s.CacheError(); err != nil {
 		return fmt.Errorf("distrib: worker %s: shared store: %w", name, err)
 	}
-	logf("worker %s: n=%d store=%s width=%d", name, s.N, cfg.StoreURL, func() int {
+	logf("worker %s: n=%d store=%s width=%d", name, s.N, store, func() int {
 		r, i, _ := s.Occupancy()
 		return r + i
 	}())
@@ -184,7 +185,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 		if len(resp.Batches) == 0 {
 			wait := time.Duration(resp.WaitMillis) * time.Millisecond
 			if wait <= 0 {
-				wait = 50 * time.Millisecond
+				wait = PollInterval
 			}
 			sleepCtx(ctx, wait)
 			continue

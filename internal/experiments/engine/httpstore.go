@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -170,7 +171,15 @@ func (s *httpStore) quarantine(name, key string, cause error) {
 // content-addressed name to a single complete entry.
 type storeServer struct {
 	fs *fsStore
+	// maxBytes caps one PUT body (maxEntryBytes outside tests).
+	maxBytes int64
 }
+
+// maxEntryBytes caps one uploaded entry. Trace containers, the largest
+// entries, run about 3 bytes per instruction (about 1 MB at the default
+// n=400000), so a GiB admits traces of ~300M instructions while a client
+// on the listener cannot stream an unbounded body onto the disk.
+const maxEntryBytes = 1 << 30
 
 // NewStoreHandler creates (if needed) root and returns an http.Handler
 // serving it as a shared blob store:
@@ -180,7 +189,8 @@ type storeServer struct {
 //	                         store is content-addressed, so the name IS
 //	                         the content key) and If-None-Match gets 304
 //	HEAD /blob/{name}      — existence check (DiskCache.Has)
-//	PUT  /blob/{name}      — atomic publish via tmp/ + fsync + rename
+//	PUT  /blob/{name}      — atomic publish via tmp/ + fsync + rename;
+//	                         bodies over maxEntryBytes get 413
 //	POST /quarantine/{name} — move the entry to quarantine/, body is the
 //	                         .reason sidecar contents
 //
@@ -191,14 +201,15 @@ func NewStoreHandler(root string) (http.Handler, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &storeServer{fs: fs}, nil
+	return &storeServer{fs: fs, maxBytes: maxEntryBytes}, nil
 }
 
 // validName reports whether name is a plausible store entry name: one
 // path element of hash hex plus a dotted extension, nothing that could
-// escape the store root.
+// escape the store root. The first character must be alphanumeric, so
+// "." (the root itself) and hidden names are refused.
 func validName(name string) bool {
-	if name == "" || len(name) > 128 {
+	if name == "" || len(name) > 128 || name[0] == '.' || name[0] == '-' {
 		return false
 	}
 	for _, r := range name {
@@ -266,14 +277,25 @@ func (s *storeServer) blob(w http.ResponseWriter, r *http.Request, name string) 
 		// Stage and publish through fsStore's tmp/ + fsync + rename path
 		// rather than writing in place: a torn upload leaves nothing in
 		// the store root, and racing writers fence to one entry.
+		tooLarge := &api.Error{Code: api.CodeBadRequest,
+			Message: fmt.Sprintf("entry exceeds the %d-byte upload cap", s.maxBytes)}
+		if r.ContentLength > s.maxBytes {
+			api.WriteError(w, http.StatusRequestEntityTooLarge, tooLarge)
+			return
+		}
 		entry, ok := s.fs.begin(name)
 		if !ok {
 			api.WriteError(w, http.StatusInsufficientStorage, &api.Error{
 				Code: api.CodeStoreWrite, Message: "store write failed", Transient: true})
 			return
 		}
-		if _, err := io.Copy(entry.F, r.Body); err != nil {
+		if _, err := io.Copy(entry.F, http.MaxBytesReader(w, r.Body, s.maxBytes)); err != nil {
 			entry.Abort()
+			var capped *http.MaxBytesError
+			if errors.As(err, &capped) {
+				api.WriteError(w, http.StatusRequestEntityTooLarge, tooLarge)
+				return
+			}
 			api.WriteError(w, http.StatusBadRequest, &api.Error{
 				Code: api.CodeBadRequest, Message: "upload truncated", Transient: true})
 			return

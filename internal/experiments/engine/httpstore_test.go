@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -262,6 +263,44 @@ func TestHTTPStoreErrorEnvelope(t *testing.T) {
 	}
 }
 
+// TestHTTPStorePutCap: an upload over the entry cap is refused with a
+// 413 bad_request envelope and leaves nothing in the store, whether its
+// length is declared up front or only discovered while streaming; an
+// upload of exactly the cap publishes.
+func TestHTTPStorePutCap(t *testing.T) {
+	root := t.TempDir()
+	fs, err := newFSStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const limit = 1 << 10
+	h := &storeServer{fs: fs, maxBytes: limit}
+	put := func(name string, size int, declared bool) *http.Response {
+		req := httptest.NewRequest(http.MethodPut, "/blob/"+name, strings.NewReader(strings.Repeat("x", size)))
+		if !declared {
+			req.ContentLength = -1
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Result()
+	}
+	for _, declared := range []bool{true, false} {
+		resp := put("aaaa1111.json", limit+1, declared)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("PUT %d bytes (declared %v) = %s, want 413", limit+1, declared, resp.Status)
+		}
+		if e := decodeEnvelope(t, resp); e.Code != api.CodeBadRequest || !strings.Contains(e.Message, "cap") {
+			t.Errorf("PUT over the cap (declared %v): error %+v, want bad_request naming the cap", declared, e)
+		}
+		if _, err := os.Stat(fs.path("aaaa1111.json")); !os.IsNotExist(err) {
+			t.Errorf("PUT over the cap (declared %v) left an entry (stat err %v)", declared, err)
+		}
+	}
+	if resp := put("bbbb2222.json", limit, false); resp.StatusCode != http.StatusCreated {
+		t.Errorf("PUT of exactly the cap = %s, want 201", resp.Status)
+	}
+}
+
 // A corrupt remote entry must be quarantined server-side — moved out of
 // the store root with a .reason sidecar — and read as a miss, exactly
 // like the local quarantine path.
@@ -415,4 +454,21 @@ func TestIsStoreURL(t *testing.T) {
 			t.Errorf("IsStoreURL(%q) = %v, want %v", dir, got, want)
 		}
 	}
+}
+
+// FuzzStoreName: every name validName accepts is exactly one path
+// element that stays under the store root once joined — the property
+// that keeps /blob/{name} and /quarantine/{name} from reaching anything
+// but a direct child of the root.
+func FuzzStoreName(f *testing.F) {
+	f.Add("5d41402abc4b2a76b9719d911017c592.json")
+	root := filepath.Join(string(filepath.Separator)+"store", "root")
+	f.Fuzz(func(t *testing.T, name string) {
+		if !validName(name) {
+			return
+		}
+		if p := filepath.Join(root, name); filepath.Dir(p) != root || filepath.Base(p) != name {
+			t.Fatalf("validName accepted %q, which joins to %q: not one element under %q", name, p, root)
+		}
+	})
 }

@@ -40,8 +40,8 @@ func staticExp(slug, desc string, f func() *stats.Table) Experiment {
 }
 
 // LookupExperiment resolves a slug to its registry entry. Every
-// by-name consumer — acic-bench -exp, acic-coord -exp, the serve
-// daemon's /v1/figures/{name} — resolves through here, which is what
+// by-name consumer — acic-bench -exp, the serve daemon's -preload and
+// /v1/figures/{name} — resolves through here, which is what
 // makes the slug the single spelling of an experiment's identity.
 func LookupExperiment(slug string) (Experiment, bool) {
 	for _, e := range Registry() {

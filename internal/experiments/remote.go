@@ -3,20 +3,23 @@ package experiments
 import "acic/internal/experiments/engine"
 
 // Remote is the seam between a Suite and a distributed executor (the
-// coordinator in acic-coord). When set, Require routes each batch's
-// not-yet-planned cells here instead of the local gang scheduler: Submit
+// coordinator acic-serve hosts for acic-worker processes). While Live
+// reports true, Require routes each batch's not-yet-planned cells here
+// instead of the local gang scheduler; otherwise the batch takes the
+// local path unchanged, so a Remote nobody serves costs nothing. Submit
 // receives one same-app group at a time — the steal unit, sized so a
 // worker can run it as a single gang and keep the one-traversal-many-
 // schemes win — and must arrange for done to be called exactly once per
 // cell, from any goroutine, without blocking inside Submit itself.
 //
-// The error passed to done drives the suite's ladder exactly like PR 8's
-// local split: nil means the cell's result was published to the shared
+// The error passed to done drives the suite's ladder exactly like the
+// local transient/deterministic split (DESIGN.md §13): nil means the cell's result was published to the shared
 // store (the suite loads it from there); a transient error (worker death,
 // injected fault, requeue budget exhausted) falls back to computing the
 // cell locally; a deterministic error fails just the figures needing the
 // cell.
 type Remote interface {
+	Live() bool
 	Submit(app string, cells []Cell, done func(c Cell, err error))
 }
 

@@ -106,12 +106,12 @@ type Suite struct {
 	// running done count, the number of cells planned so far, and a
 	// human-readable label. Called from worker goroutines.
 	Progress func(done, total int, label string)
-	// Remote, when non-nil, routes each Require batch's new cells to a
-	// distributed executor instead of the local gang scheduler (see the
-	// Remote interface in remote.go). Results come back through the
-	// shared store, so rendered output stays byte-identical to local
-	// execution; transiently failed cells fall back to the local serial
-	// ladder.
+	// Remote, when non-nil and Live, routes each Require batch's new
+	// cells to a distributed executor instead of the local gang
+	// scheduler (see the Remote interface in remote.go). Results come
+	// back through the shared store, so rendered output stays
+	// byte-identical to local execution; transiently failed cells fall
+	// back to the local serial ladder.
 	Remote Remote
 	// Context, when non-nil, cancels work that has not started yet: cells
 	// (and gang tasks) check it before simulating and fail with the
@@ -350,7 +350,7 @@ func (s *Suite) wl(app string) *Workload {
 func (s *Suite) Require(cells ...Cell) error {
 	s.init()
 	switch {
-	case s.Remote != nil:
+	case s.Remote != nil && s.Remote.Live():
 		s.submitRemote(cells)
 	case s.GangSize > 1:
 		s.submitGangs(cells)

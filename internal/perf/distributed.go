@@ -33,7 +33,7 @@ type DistributedLane struct {
 
 // DistributedSweep is the distributed-execution measurement (DESIGN.md
 // §14): the full (app × scheme) grid under one prefetcher, run once
-// single-process and once per worker count through the acic-coord
+// single-process and once per worker count through the coordinator's
 // work-stealing protocol with the shared HTTP store. Every lane is cold —
 // fresh scratch store, workloads prepared from nothing — so the speedup
 // column is the end-to-end `-exp`-style wall-clock a user would see.
@@ -131,7 +131,10 @@ func measureDistributedSweep(cfg Config) (DistributedSweep, error) {
 
 // runDistributedLane executes the grid through a real coordinator — HTTP
 // listener, shared store, work-stealing claims — with nw in-process
-// workers, the same wiring acic-coord uses minus the process boundary.
+// workers, the same wiring acic-serve uses minus the process boundary.
+// The clock starts once a worker has claimed: the suite routes work
+// remotely only while a worker is live, so a lane timed from before the
+// first claim would race it and run locally.
 func runDistributedLane(cfg Config, cells []experiments.Cell, ref []cpu.Result, nw, width, gang int) (DistributedLane, error) {
 	dir, err := os.MkdirTemp("", "acic-dist-sweep-*")
 	if err != nil {
@@ -186,6 +189,14 @@ func runDistributedLane(cfg Config, cells []experiments.Cell, ref []cpu.Result, 
 	s.Remote = coord
 	if err := s.CacheError(); err != nil {
 		return DistributedLane{}, err
+	}
+	for deadline := time.Now().Add(30 * time.Second); !coord.Live(); time.Sleep(5 * time.Millisecond) {
+		if ctx.Err() != nil {
+			return DistributedLane{}, ctx.Err()
+		}
+		if time.Now().After(deadline) {
+			return DistributedLane{}, fmt.Errorf("no worker claimed within 30s")
+		}
 	}
 	start := time.Now()
 	reqErr := s.Require(cells...)
