@@ -4,12 +4,12 @@
 // against the published values.
 //
 // Experiments plan their simulation cells up front and execute them on a
-// worker pool (one worker per core by default); same-app cells — across
-// prefetcher platforms — are additionally grouped into gang simulations,
-// one Program traversal driving a whole scheme × prefetcher row, when the
-// trace is long enough for the shared traversal to pay (-gang on|off|auto,
-// -gang-size, and -gang-window auto|default|N for the traversal window;
-// output is byte-identical in every mode). With -cache-dir (or
+// worker pool (one worker per core by default); from 1M instructions
+// (experiments.GangMinTrace) same-app cells — across prefetcher platforms
+// — are additionally grouped into gang simulations of up to ten members,
+// one Program traversal driving a whole scheme × prefetcher row under a
+// traversal window measured against the host cache (output is
+// byte-identical either way). With -cache-dir (or
 // ACIC_CACHE_DIR) results persist on disk keyed by workload/trace-length/
 // scheme/prefetcher, making reruns incremental; with -artifact-dir (or
 // ACIC_ARTIFACT_DIR) the prepared workloads themselves — trace, annotated
@@ -50,7 +50,7 @@
 //	acic-bench -exp table3 -n 1000000
 //	acic-bench -exp all -workers 4 -cache-dir ~/.cache/acic -progress
 //	acic-bench -exp all -artifact-dir ~/.cache/acic-artifacts # warm prepare reuse
-//	acic-bench -exp all -n 2000000 -gang on # gang a long-trace sweep
+//	acic-bench -exp all -n 2000000      # long traces run as gangs
 //	acic-bench -bench-json bench.json -bench-repeats 5
 //	acic-bench -compare bench/trajectory/BENCH_PR3.json -compare-to bench.json
 //	acic-bench -bench-json bench.json -compare bench/trajectory/BENCH_PR4.json
@@ -119,8 +119,6 @@ func runSampleValidate(ctx context.Context, sim *cliutil.SimFlags, n int, apps s
 		s := experiments.NewSuite(n)
 		s.Context = ctx
 		s.Workers = sim.Workers
-		s.GangSize = sim.SuiteGangSize(s.N)
-		s.GangWindow, _ = sim.ResolveGangWindow() // validated by main
 		s.ArtifactDir = artifactDir
 		if sampled {
 			s.SampleSets = sampleSets
@@ -230,7 +228,7 @@ func main() {
 		benchSchemes = flag.String("bench-schemes", "", "schemes for -bench-json (comma-separated; empty = tracked default set)")
 		benchPfs     = flag.String("bench-prefetchers", "none,fdp", "prefetcher platforms for -bench-json (comma-separated)")
 		benchRepeats = flag.Int("bench-repeats", 3, "timed repetitions per -bench-json cell (best kept)")
-		benchSweeps  = flag.Bool("bench-sweeps", true, "also measure per-prefetcher gang-vs-serial sweep wall-clocks in -bench-json mode")
+		benchSweeps  = flag.Bool("bench-sweeps", true, "also measure serial-vs-gang sweep wall-clocks (per-prefetcher scheme rows and cross-prefetcher rows) in -bench-json mode")
 		benchDist    = flag.Bool("bench-distributed", false, "also measure the distributed sweep in -bench-json mode: the full app x scheme grid single-process vs coordinator + 1/2/4 workers over a cold shared store, per-cell results verified identical (adds several cold full-grid lanes — minutes)")
 
 		compare    = flag.String("compare", "", "baseline bench JSON: compare per-cell ns/access against it and exit (new side: -compare-to, or the report just measured by -bench-json)")
@@ -345,7 +343,7 @@ func main() {
 
 	if *benchJSON != "" {
 		cfg := perf.Config{Context: ctx, App: *benchApp, N: *n, Repeats: *benchRepeats,
-			ArtifactDir: sim.ArtifactDir, DistributedSweeps: *benchDist}
+			ArtifactDir: sim.ArtifactDir, GangSweeps: *benchSweeps, DistributedSweeps: *benchDist}
 		if ss, err := sim.ResolveSampleSets(); err != nil {
 			fmt.Fprintf(os.Stderr, "acic-bench: %v\n", err)
 			os.Exit(1)
@@ -358,11 +356,6 @@ func main() {
 		if *benchPfs != "" {
 			cfg.Prefetchers = strings.Split(*benchPfs, ",")
 		}
-		cfg.GangSize = sim.GangSize
-		if !*benchSweeps {
-			cfg.GangSize = -1
-		}
-		cfg.GangWindow, _ = sim.ResolveGangWindow() // validated above
 		rep, err := perf.Measure(cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "acic-bench: %v\n", err)
@@ -375,13 +368,10 @@ func main() {
 		fmt.Printf("=== throughput microbenchmark: %s, n=%d (best of %d)\n%s", *benchApp, rep.N, *benchRepeats, rep.Table())
 		fmt.Println(rep.PrepareSummary())
 		if st := rep.SweepTable(); st != nil {
-			fmt.Printf("=== gang sweeps: wall-clock per full scheme row (best of %d)\n%s", *benchRepeats, st)
+			fmt.Printf("=== gang sweeps: serial vs gang wall-clock per row (best of %d)\n%s", *benchRepeats, st)
 		}
 		if st := rep.SampledSweepTable(); st != nil {
 			fmt.Printf("=== sampled sweeps: full vs set-sampled wall-clock per scheme row (best of %d)\n%s", *benchRepeats, st)
-		}
-		if st := rep.CrossSweepTable(); st != nil {
-			fmt.Printf("=== cross-prefetcher sweeps: serial vs gang (fixed / auto window) wall-clock per row (best of %d)\n%s", *benchRepeats, st)
 		}
 		if st := rep.DistributedSweepTable(); st != nil {
 			fmt.Printf("=== distributed sweeps: single-process vs coordinator + workers, cold shared store per lane\n%s", st)
@@ -449,8 +439,6 @@ func main() {
 	suite := experiments.NewSuite(*n)
 	suite.Context = ctx
 	suite.Workers = sim.Workers
-	suite.GangSize = sim.SuiteGangSize(suite.N)
-	suite.GangWindow, _ = sim.ResolveGangWindow() // validated above
 	suite.CacheDir = *cacheDir
 	suite.ArtifactDir = sim.ArtifactDir
 	suite.SampleSets = sampleSets

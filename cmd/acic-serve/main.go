@@ -86,7 +86,6 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	gangWindow, _ := sim.ResolveGangWindow() // validated above
 
 	ctx, stopSignals := cliutil.InterruptContext()
 	defer stopSignals()
@@ -94,8 +93,6 @@ func main() {
 	suite := experiments.NewSuite(*n)
 	suite.Context = ctx
 	suite.Workers = sim.Workers
-	suite.GangSize = sim.SuiteGangSize(suite.N)
-	suite.GangWindow = gangWindow
 	suite.SampleSets = sampleSets
 	suite.SampleOffset = sim.SampleOffset
 	suite.CacheDir = *cacheDir

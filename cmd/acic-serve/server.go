@@ -100,8 +100,6 @@ func (s *server) acceptWorkers() error {
 		Apps:         s.suite.Apps,
 		SampleSets:   s.suite.SampleSets,
 		SampleOffset: s.suite.SampleOffset,
-		GangSize:     s.suite.GangSize,
-		GangWindow:   s.suite.GangWindow,
 		StoreURL:     storeURL,
 	}})
 	s.suite.Remote = s.coord
@@ -199,7 +197,7 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		N:                 s.suite.N,
 		Apps:              s.suite.Apps,
 		SampleSets:        s.suite.SampleSets,
-		GangSize:          s.suite.GangSize,
+		GangSize:          s.suite.GangWidth(),
 		Requests:          s.requests.Load(),
 		CellsComputed:     int(computed),
 		CellsFromCache:    int(fromCache),
@@ -279,10 +277,10 @@ func (s *server) handleFigure(w http.ResponseWriter, r *http.Request) {
 // handleCells answers grid cell queries. app and scheme are required,
 // comma-separated lists ("all" expands app to the suite's app list and
 // scheme to every registered scheme); prefetcher defaults to fdp. The
-// full cross product is computed as ONE Require batch, so same-app
-// cells ride a single gang when gang execution is on — a client asking
-// for twelve schemes of one app pays one Program traversal, exactly
-// like the CLI grid.
+// full cross product is computed as ONE Require batch, so once the trace
+// is long enough same-app cells ride shared gangs — a client asking for
+// ten schemes of one app pays one Program traversal, exactly like the
+// CLI grid.
 func (s *server) handleCells(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	apps, schemes, pfs := q.Get("app"), q.Get("scheme"), q.Get("prefetcher")

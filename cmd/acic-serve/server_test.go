@@ -457,6 +457,11 @@ func TestServeHealthzAndStats(t *testing.T) {
 	if st.Version != api.Version || st.N != testN || st.Requests < 1 {
 		t.Errorf("stats = %+v", st)
 	}
+	// Gang width is derived from N: below experiments.GangMinTrace the
+	// daemon runs no gangs and gang_size stays absent.
+	if st.GangSize != 0 || strings.Contains(body(t, get(t, url+"/v1/stats")), `"gang_size"`) {
+		t.Errorf("stats.gang_size = %d at n=%d, want absent", st.GangSize, testN)
+	}
 	var fs experiments.FaultStats
 	if err := json.Unmarshal(st.Faults, &fs); err != nil {
 		t.Errorf("stats.faults is not a FaultStats: %v", err)

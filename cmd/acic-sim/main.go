@@ -3,10 +3,11 @@
 // tool; use acic-bench to regenerate the paper's tables and figures.
 //
 // When several schemes are given over a long trace (>= 1M instructions,
-// the default -n) they are simulated as a gang — one traversal of the
-// shared trace drives every scheme; shorter runs use independent cells on
-// a worker pool. -gang on|off overrides; results are identical in every
-// mode. Rows are always printed in the order the schemes were listed.
+// the default -n; experiments.GangWidth) they are simulated as gangs of up
+// to ten — one traversal of the shared trace drives every member; shorter
+// runs use independent cells on a worker pool. Results are identical
+// either way. Rows are always printed in the order the schemes were
+// listed.
 //
 // A gang whose run panics or errors degrades to independent serial runs
 // with bounded retries (DESIGN.md §13); -fault-spec injects deterministic
@@ -23,7 +24,6 @@
 //
 //	acic-sim -workload media-streaming -scheme acic -n 1000000
 //	acic-sim -workload web-search -schemes lru,acic,opt -n 500000
-//	acic-sim -workload web-search -schemes lru,acic -gang off
 //	acic-sim -workload tpcc -schemes lru,acic -artifact-dir ~/.cache/acic-artifacts
 //	acic-sim -workload tpcc -schemes lru,acic -sample-sets 8   # set-sampled fast mode
 package main
@@ -127,9 +127,6 @@ func main() {
 	if opts.Sample, err = experiments.SampleConfigFor(sampleSets, sim.SampleOffset, *name); err != nil {
 		fail("%v", err)
 	}
-	if opts.GangWindow, err = sim.ResolveGangWindow(); err != nil {
-		fail("%v", err)
-	}
 	if opts.Sample.Enabled() {
 		fmt.Printf("set-sampled fast mode: %d of %d sets (stride %d, constituency %d); misses and stalls extrapolated, see DESIGN.md §10 for error bars\n",
 			sampleSets, cliutil.DefaultL1Sets, opts.Sample.Stride, opts.Sample.Offset)
@@ -141,10 +138,10 @@ func main() {
 	}
 
 	// Plan → execute: every scheme is an independent cell over the shared
-	// workload; the group dedupes repeats. With -gang the deduplicated list
-	// runs as gang simulations (one trace traversal per gang of up to
-	// -gang-size schemes); otherwise cells run in parallel on the pool.
-	// Either way each scheme's result is identical.
+	// workload; the group dedupes repeats. On a long enough trace the
+	// deduplicated list runs as gang simulations (one trace traversal per
+	// gang of up to experiments.GangWidth schemes); otherwise cells run in
+	// parallel on the pool. Either way each scheme's result is identical.
 	runs := engine.NewGroup(pool, func(scheme string) (schemeRun, error) {
 		if err := ctx.Err(); err != nil {
 			return schemeRun{}, err
@@ -152,8 +149,8 @@ func main() {
 		return runScheme(w, scheme, opts)
 	})
 	runs.Retry = engine.DefaultRetry()
-	if sim.GangEnabled(*n) && sim.GangSize > 1 {
-		runGangs(ctx, w, order, opts, sim.GangSize, runs)
+	if width := experiments.GangWidth(*n); width > 0 {
+		runGangs(ctx, w, order, opts, width, runs)
 	}
 	if err := runs.Require(order...); err != nil {
 		if ctx.Err() != nil {

@@ -182,18 +182,17 @@ func runWarm(args []string) {
 	fmt.Print(t.String())
 	fmt.Printf("warmed %d workloads in %.1fs (store: %s)\n", len(apps), elapsed.Seconds(), artifactDir)
 
-	// The warmed programs are in memory, so the adaptive gang-window
-	// derivation (-gang-window auto) can be previewed for free: measured
-	// shared bytes per instruction and the window a ten-member gang of
-	// default schemes would run under against the detected budget.
-	const previewMembers = 10
-	wt := &stats.Table{Header: []string{"workload", "bytes/instr", "auto window (10 members)"}}
+	// The warmed programs are in memory, so the measured gang-window
+	// derivation can be previewed for free: shared bytes per instruction
+	// and the window a full-width gang of default schemes would run under
+	// against the detected budget.
+	wt := &stats.Table{Header: []string{"workload", "bytes/instr", fmt.Sprintf("gang window (%d members)", experiments.GangMaxWidth)}}
 	for _, app := range apps {
 		w, err := pl.Workload(app)
 		if err != nil {
 			fail("%v", err)
 		}
-		wt.AddRow(app, w.Prog.GangBytesPerInstr(), experiments.GangWindowEstimate(w, previewMembers))
+		wt.AddRow(app, w.Prog.GangBytesPerInstr(), experiments.GangWindowEstimate(w, experiments.GangMaxWidth))
 	}
 	fmt.Print(wt.String())
 	fmt.Printf("gang windows derived against host cache budget %d MiB (override: ACIC_LLC_BYTES)\n",

@@ -1,11 +1,11 @@
 // Command acic-worker is a stateless execution process for distributed
 // grid runs (DESIGN.md §14). Point it at an acic-serve that has a result
 // cache (that daemon is the coordinator) and it configures itself from
-// GET /api/config: trace length, sampling, gang policy, shared store. It
-// then steals same-app cell batches, runs each as a local gang
-// simulation, publishes results to the shared store, and reports
-// per-cell outcomes with the transient/deterministic split the
-// coordinator's rescheduling keys on. It claims every 50 ms, busy or
+// GET /api/config: trace length, sampling, shared store. It then steals
+// same-app cell batches, runs each as a local gang simulation once the
+// trace is long enough (experiments.GangWidth), publishes results to the
+// shared store, and reports per-cell outcomes with the
+// transient/deterministic split the coordinator's rescheduling keys on. It claims every 50 ms, busy or
 // not; those claims are what keep the daemon routing work to it. It
 // exits 0 when the daemon shuts down, and may be killed at any time: its
 // leased batches expire and requeue, and whatever it already published

@@ -1,6 +1,8 @@
 // Package cliutil deduplicates the engine/storage flag plumbing shared by
 // the simulation CLIs (acic-bench, acic-sim, acic-trace warm): the worker
-// pool width, the gang-execution mode, and the two persistent stores.
+// pool width, set sampling, fault injection, and the two persistent
+// stores. Gang execution has no flags: experiments.GangWidth derives it
+// from the trace length.
 package cliutil
 
 import (
@@ -9,7 +11,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
 	"syscall"
 
 	"acic/internal/faults"
@@ -29,28 +30,14 @@ func InterruptContext() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 }
 
-// GangAutoThreshold is the trace length from which the gang's shared
-// traversal measurably beats per-cell execution (bench/trajectory gang
-// sweeps / DESIGN.md §8: neutral at 400k on large-LLC hosts, ~1.15x at
-// multi-million-instruction traces).
-const GangAutoThreshold = 1_000_000
-
 // DefaultL1Sets is the evaluated schemes' shared L1i set count, the
 // denominator of the -sample-sets / -sample-stride conversion (it mirrors
 // icache.DefaultSets without pulling the simulator into the flag layer).
 const DefaultL1Sets = 64
 
-// AutoGangWindow is the ResolveGangWindow value selecting the measured
-// adaptive window (mirrors experiments.AutoGangWindow without pulling the
-// simulator into the flag layer).
-const AutoGangWindow = -1
-
 // SimFlags are the shared engine/storage knobs after parsing.
 type SimFlags struct {
 	Workers      int
-	Gang         string
-	GangSize     int
-	GangWindow   string
 	ArtifactDir  string
 	SampleSets   int
 	SampleStride int
@@ -64,9 +51,6 @@ type SimFlags struct {
 func RegisterSim(fs *flag.FlagSet) *SimFlags {
 	f := &SimFlags{}
 	fs.IntVar(&f.Workers, "workers", 0, "simulation worker pool size (0 = ACIC_WORKERS or GOMAXPROCS)")
-	fs.StringVar(&f.Gang, "gang", "auto", "group cells that share a workload into gang simulations — one Program traversal per gang: on, off, or auto (gang from 1M instructions, where the shared traversal measurably pays; output is byte-identical either way)")
-	fs.IntVar(&f.GangSize, "gang-size", 10, "max schemes per gang task (with -gang)")
-	fs.StringVar(&f.GangWindow, "gang-window", "auto", "gang traversal window in instructions: auto derives it from measured member footprints against the host cache budget (ACIC_LLC_BYTES overrides detection), default runs the fixed heuristic, any positive count pins it; affects only throughput, never results")
 	fs.IntVar(&f.SampleSets, "sample-sets", 0, "set-sampled fast mode: simulate only this many of the 64 L1i sets (SDM-style sampling, statistics extrapolated; power of two; 0 = full simulation, the byte-identical reference)")
 	fs.IntVar(&f.SampleStride, "sample-stride", 0, "set-sampled fast mode by stride: simulate one in this many set constituencies (equivalent to -sample-sets 64/stride; 0 = full simulation)")
 	fs.IntVar(&f.SampleOffset, "sample-offset", 0, "sampled set constituency to simulate, in [1,stride) (with -sample-sets/-sample-stride; 0 = derive per workload from the trace digest — constituency 0 is alignment-biased and never used)")
@@ -132,33 +116,8 @@ func RegisterArtifactDir(fs *flag.FlagSet, dst *string) {
 		"persistent workload artifact store: prepared traces, annotated programs, successor arrays, and data-latency timelines are written once and reused by every later run (empty = disabled)")
 }
 
-// ResolveGangWindow reduces the -gang-window spelling to the
-// experiments.Options.GangWindow encoding: AutoGangWindow (-1) for
-// "auto", 0 for "default", or the pinned positive instruction count.
-func (f *SimFlags) ResolveGangWindow() (int, error) {
-	switch f.GangWindow {
-	case "auto", "":
-		return AutoGangWindow, nil
-	case "default":
-		return 0, nil
-	}
-	n, err := strconv.Atoi(f.GangWindow)
-	if err != nil || n <= 0 {
-		return 0, fmt.Errorf("-gang-window must be auto, default, or a positive instruction count (got %q)", f.GangWindow)
-	}
-	return n, nil
-}
-
 // Validate checks the parsed flag values.
 func (f *SimFlags) Validate() error {
-	switch f.Gang {
-	case "on", "off", "auto":
-	default:
-		return fmt.Errorf("-gang must be on, off, or auto (got %q)", f.Gang)
-	}
-	if _, err := f.ResolveGangWindow(); err != nil {
-		return err
-	}
 	if f.SampleOffset < 0 {
 		return fmt.Errorf("-sample-offset must be >= 0, got %d", f.SampleOffset)
 	}
@@ -166,26 +125,4 @@ func (f *SimFlags) Validate() error {
 		return fmt.Errorf("-fault-spec: %w", err)
 	}
 	return nil
-}
-
-// GangEnabled resolves the three-state -gang flag against the trace
-// length.
-func (f *SimFlags) GangEnabled(n int) bool {
-	switch f.Gang {
-	case "on":
-		return true
-	case "off":
-		return false
-	default:
-		return n >= GangAutoThreshold
-	}
-}
-
-// SuiteGangSize returns the experiments.Suite.GangSize to configure: the
-// flag value when gang execution is enabled for trace length n, else 0.
-func (f *SimFlags) SuiteGangSize(n int) int {
-	if f.GangEnabled(n) && f.GangSize > 1 {
-		return f.GangSize
-	}
-	return 0
 }

@@ -13,7 +13,7 @@ import (
 // -fault-spec up front, so every CLI fails fast with the same message
 // instead of installing a half-parsed injector.
 func TestValidateFaultSpec(t *testing.T) {
-	f := &SimFlags{Gang: "auto", FaultSpec: "io-err:p=0.01"}
+	f := &SimFlags{FaultSpec: "io-err:p=0.01"}
 	if err := f.Validate(); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
 	}

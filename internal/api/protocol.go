@@ -12,8 +12,6 @@ type WorkerConfig struct {
 	Apps         []string `json:"apps,omitempty"`
 	SampleSets   int      `json:"sample_sets,omitempty"`
 	SampleOffset int      `json:"sample_offset,omitempty"`
-	GangSize     int      `json:"gang_size,omitempty"`
-	GangWindow   int      `json:"gang_window,omitempty"`
 	// StoreURL is the shared blob store every worker must point its
 	// cache and artifact dirs at; empty means the coordinator serves the
 	// store on its own listener, at the URL the worker reached it by.

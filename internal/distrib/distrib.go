@@ -10,8 +10,9 @@
 // protocol shares with acic-serve and the store handler — and are
 // aliased here so coordinator and worker code reads naturally. The
 // protocol is three endpoints. GET /api/config tells a fresh worker
-// everything it needs to build its Suite — trace length, sampling, gang
-// policy, and the store URL — which is what makes workers stateless:
+// everything it needs to build its Suite — trace length, sampling, and
+// the store URL (gang width follows from the trace length) — which is
+// what makes workers stateless:
 // point acic-worker at a coordinator and it configures itself. POST
 // /api/claim is the steal: the worker sends its pool occupancy snapshot
 // (running/idle/queued) and how many batches it wants, the coordinator

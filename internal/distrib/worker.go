@@ -146,8 +146,6 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	s.ArtifactDir = store
 	s.SampleSets = cfg.SampleSets
 	s.SampleOffset = cfg.SampleOffset
-	s.GangSize = cfg.GangSize
-	s.GangWindow = cfg.GangWindow
 	s.Context = ctx
 	if err := s.CacheError(); err != nil {
 		return fmt.Errorf("distrib: worker %s: shared store: %w", name, err)

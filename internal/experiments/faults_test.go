@@ -318,7 +318,7 @@ func TestGangDegradeLadder(t *testing.T) {
 	defer faults.Install("")
 	gang := NewSuite(n)
 	gang.Apps = apps
-	gang.GangSize = 3
+	gang.gangWidthOverride = 3
 	if err := gang.Require(cells...); err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestGangBadMemberFailsOnlyItself(t *testing.T) {
 	const n = 20_000
 	s := NewSuite(n)
 	s.Apps = []string{"media-streaming"}
-	s.GangSize = 3
+	s.gangWidthOverride = 3
 	cells := []Cell{
 		{"media-streaming", "lru", "none"},
 		{"media-streaming", "no-such-scheme", "none"},
@@ -378,11 +378,11 @@ func TestSuiteContextCancel(t *testing.T) {
 	for _, gangSize := range []int{0, 2} {
 		s := NewSuite(20_000)
 		s.Apps = []string{"media-streaming"}
-		s.GangSize = gangSize
+		s.gangWidthOverride = gangSize
 		s.Context = ctx
 		err := s.Require(CrossCells(s.Apps, []string{"lru", "acic"}, "none")...)
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("GangSize=%d: Require = %v, want context.Canceled", gangSize, err)
+			t.Fatalf("gang width %d: Require = %v, want context.Canceled", gangSize, err)
 		}
 	}
 }
@@ -415,7 +415,7 @@ func TestFaultInjectedExpAllByteIdentical(t *testing.T) {
 	coldSuite := NewSuite(n)
 	coldSuite.Apps = apps
 	coldSuite.ArtifactDir = dir
-	coldSuite.GangSize = 3
+	coldSuite.gangWidthOverride = 3
 	cold := renderAll(t, coldSuite)
 	if cold != clean {
 		t.Fatalf("fault-injected cold output diverges from fault-free run")

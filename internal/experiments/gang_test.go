@@ -80,7 +80,7 @@ func gangFigSlice(t *testing.T, gangSize int, cacheDir string) string {
 	s := NewSuite(40_000)
 	s.Apps = []string{"media-streaming", "sibench"}
 	s.Workers = 2
-	s.GangSize = gangSize
+	s.gangWidthOverride = gangSize
 	s.CacheDir = cacheDir
 	var out strings.Builder
 	t10, err := s.Fig10()
@@ -143,7 +143,7 @@ func TestSuiteGangUsesAndFillsDiskCache(t *testing.T) {
 	// Gang rerun over the same cache: gangs must consult it per member.
 	s2 := NewSuite(40_000)
 	s2.Apps = []string{"media-streaming", "sibench"}
-	s2.GangSize = 4
+	s2.gangWidthOverride = 4
 	s2.CacheDir = dir
 	if _, err := s2.Fig10(); err != nil {
 		t.Fatal(err)
@@ -172,10 +172,7 @@ func TestRunGangCellsCrossPrefetcher(t *testing.T) {
 		{Scheme: "acic", Prefetcher: ""}, // inherits opts.Prefetcher
 	}
 	opts := DefaultOptions()
-	res, window, errs := RunGangCells(w, cells, opts)
-	if window != cpu.DefaultGangWindow {
-		t.Errorf("default-heuristic run reported window %d, want %d", window, cpu.DefaultGangWindow)
-	}
+	res, _, errs := RunGangCells(w, cells, opts)
 	for i, c := range cells {
 		if errs[i] != nil {
 			t.Fatalf("cell %d (%s/%s): %v", i, c.Scheme, c.Prefetcher, errs[i])
@@ -227,10 +224,10 @@ func TestRunGangCellsPartialErrors(t *testing.T) {
 	}
 }
 
-// TestRunGangCellsWindowSelection pins the window plumbing: 0 runs the
-// fixed heuristic, a positive value is used verbatim, and AutoGangWindow
-// resolves to MeasuredGangWindow — with results byte-identical across all
-// three, the end-to-end fact behind `-gang-window auto`.
+// TestRunGangCellsWindowSelection pins the window plumbing: every gang
+// runs, and reports, MeasuredGangWindow for its members — the floor under
+// a starved host budget, the cap under a huge one — and its results match
+// serial runs at both extremes, so the window only moves throughput.
 func TestRunGangCellsWindowSelection(t *testing.T) {
 	prof, _ := workload.ByName("media-streaming")
 	w := Prepare(prof, 40_000)
@@ -238,34 +235,64 @@ func TestRunGangCellsWindowSelection(t *testing.T) {
 		{Scheme: "lru", Prefetcher: "none"},
 		{Scheme: "acic", Prefetcher: "fdp"},
 	}
-	run := func(gw int) ([]CellResult, int) {
+	var subs []icache.Subsystem
+	serial := make([]cpu.Result, len(cells))
+	for i, c := range cells {
+		sub, err := NewSampledScheme(c.Scheme, w, cpu.SampleConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs = append(subs, sub)
 		opts := DefaultOptions()
-		opts.GangWindow = gw
-		res, window, errs := RunGangCells(w, cells, opts)
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("GangWindow=%d cell %d: %v", gw, i, err)
+		opts.Prefetcher = c.Prefetcher
+		if serial[i], err = Run(w, c.Scheme, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, budget := range []struct {
+		llc  string
+		want int
+	}{{"1M", cpu.DefaultGangWindow}, {"8G", cpu.MaxGangWindow}, {"", 0}} {
+		t.Setenv("ACIC_LLC_BYTES", budget.llc)
+		want := MeasuredGangWindow(w.Prog, subs)
+		if budget.want != 0 && want != budget.want {
+			t.Errorf("ACIC_LLC_BYTES=%q: measured window %d, want %d", budget.llc, want, budget.want)
+		}
+		res, window, errs := RunGangCells(w, cells, DefaultOptions())
+		if window != want {
+			t.Errorf("ACIC_LLC_BYTES=%q: gang ran window %d, want MeasuredGangWindow %d", budget.llc, window, want)
+		}
+		for i := range cells {
+			if errs[i] != nil {
+				t.Fatalf("ACIC_LLC_BYTES=%q cell %d: %v", budget.llc, i, errs[i])
+			}
+			if res[i].Result != serial[i] {
+				t.Errorf("ACIC_LLC_BYTES=%q cell %d: gang %+v != serial %+v", budget.llc, i, res[i].Result, serial[i])
 			}
 		}
-		return res, window
 	}
-	fixedRes, fixedWin := run(0)
-	if fixedWin != cpu.DefaultGangWindow {
-		t.Errorf("GangWindow=0 ran window %d, want %d", fixedWin, cpu.DefaultGangWindow)
+}
+
+// TestGangWidthPolicy pins the one gang rule: no gangs below GangMinTrace,
+// GangMaxWidth-wide gangs from it up, and a default suite below the
+// threshold runs every cell on its own.
+func TestGangWidthPolicy(t *testing.T) {
+	if got := GangWidth(GangMinTrace - 1); got != 0 {
+		t.Errorf("GangWidth(GangMinTrace-1) = %d, want 0", got)
 	}
-	pinnedRes, pinnedWin := run(4096)
-	if pinnedWin != 4096 {
-		t.Errorf("GangWindow=4096 ran window %d", pinnedWin)
+	if got := GangWidth(GangMinTrace); got != 10 {
+		t.Errorf("GangWidth(GangMinTrace) = %d, want 10", got)
 	}
-	autoRes, autoWin := run(AutoGangWindow)
-	if autoWin < cpu.DefaultGangWindow || autoWin > cpu.MaxGangWindow {
-		t.Errorf("auto window %d outside [%d,%d]", autoWin, cpu.DefaultGangWindow, cpu.MaxGangWindow)
+	s := NewSuite(30_000)
+	s.Apps = []string{"media-streaming"}
+	if s.GangWidth() != 0 {
+		t.Errorf("suite at n=%d reports gang width %d, want 0", s.N, s.GangWidth())
 	}
-	for i := range cells {
-		if fixedRes[i] != pinnedRes[i] || fixedRes[i] != autoRes[i] {
-			t.Errorf("cell %d results differ across windows: fixed %+v pinned %+v auto %+v",
-				i, fixedRes[i], pinnedRes[i], autoRes[i])
-		}
+	if _, err := s.Fig10(); err != nil {
+		t.Fatal(err)
+	}
+	if gs := s.GangStats(); gs.Gangs != 0 {
+		t.Errorf("default suite below GangMinTrace ran gangs: %+v", gs)
 	}
 }
 
@@ -368,15 +395,14 @@ func TestSplitBalanced(t *testing.T) {
 }
 
 // crossPfSlice renders the two cross-prefetcher tables under the given
-// gang size and window, returning the exact bytes and the suite (for its
-// gang statistics).
-func crossPfSlice(t *testing.T, gangSize, gangWindow int) (string, *Suite) {
+// gang width (0 = per-cell execution), returning the exact bytes and the
+// suite (for its gang statistics).
+func crossPfSlice(t *testing.T, gangWidth int) (string, *Suite) {
 	t.Helper()
 	s := NewSuite(30_000)
 	s.Apps = []string{"media-streaming", "sibench"}
 	s.Workers = 2
-	s.GangSize = gangSize
-	s.GangWindow = gangWindow
+	s.gangWidthOverride = gangWidth
 	t1, err := s.PrefetcherBaselines()
 	if err != nil {
 		t.Fatal(err)
@@ -388,17 +414,18 @@ func crossPfSlice(t *testing.T, gangSize, gangWindow int) (string, *Suite) {
 	return t1.String() + t2.String(), s
 }
 
-// TestSuiteCrossPrefetcherGangIdentical pins the tentpole end to end: the
-// prefetcher-sweep tables are byte-identical with gangs off, with
-// cross-prefetcher gangs under the fixed window, and under the measured
-// auto window — and the gang plan actually mixes platforms in one gang.
+// TestSuiteCrossPrefetcherGangIdentical pins cross-prefetcher gangs end to
+// end: the prefetcher-sweep tables are byte-identical with gangs off and
+// with gangs under the measured window — at the detected host budget and
+// at the starved-budget floor — and the gang plan actually mixes
+// platforms in one gang.
 func TestSuiteCrossPrefetcherGangIdentical(t *testing.T) {
-	serial, _ := crossPfSlice(t, 0, 0)
-	fixed, sf := crossPfSlice(t, 4, 0)
-	if fixed != serial {
-		t.Errorf("fixed-window gang output diverges:\n--- per-cell ---\n%s--- gang ---\n%s", serial, fixed)
+	serial, _ := crossPfSlice(t, 0)
+	gang, sg := crossPfSlice(t, 4)
+	if gang != serial {
+		t.Errorf("gang output diverges:\n--- per-cell ---\n%s--- gang ---\n%s", serial, gang)
 	}
-	gs := sf.GangStats()
+	gs := sg.GangStats()
 	if gs.Gangs == 0 || gs.Cells == 0 {
 		t.Fatalf("gang run recorded no gangs: %+v", gs)
 	}
@@ -406,18 +433,19 @@ func TestSuiteCrossPrefetcherGangIdentical(t *testing.T) {
 		t.Errorf("no gang spanned >1 prefetcher platform: %+v", gs)
 	}
 	if gs.MaxWidth < 2 || gs.MaxWidth > 4 {
-		t.Errorf("max gang width %d outside (1,GangSize]", gs.MaxWidth)
+		t.Errorf("max gang width %d outside (1,4]", gs.MaxWidth)
 	}
-	if gs.Window != int64(cpu.DefaultGangWindow) {
-		t.Errorf("fixed-window stats report window %d, want %d", gs.Window, cpu.DefaultGangWindow)
+	if gs.Window < int64(cpu.DefaultGangWindow) || gs.Window > int64(cpu.MaxGangWindow) {
+		t.Errorf("measured window %d outside [%d,%d]", gs.Window, cpu.DefaultGangWindow, cpu.MaxGangWindow)
 	}
 
-	auto, sa := crossPfSlice(t, 4, AutoGangWindow)
-	if auto != serial {
-		t.Errorf("auto-window gang output diverges:\n--- per-cell ---\n%s--- gang ---\n%s", serial, auto)
+	t.Setenv("ACIC_LLC_BYTES", "1M")
+	floor, sf := crossPfSlice(t, 4)
+	if floor != serial {
+		t.Errorf("floor-window gang output diverges:\n--- per-cell ---\n%s--- gang ---\n%s", serial, floor)
 	}
-	if w := sa.GangStats().Window; w < int64(cpu.DefaultGangWindow) || w > int64(cpu.MaxGangWindow) {
-		t.Errorf("auto window %d outside [%d,%d]", w, cpu.DefaultGangWindow, cpu.MaxGangWindow)
+	if w := sf.GangStats().Window; w != int64(cpu.DefaultGangWindow) {
+		t.Errorf("starved-budget stats report window %d, want the %d floor", w, cpu.DefaultGangWindow)
 	}
 }
 
@@ -426,7 +454,7 @@ func TestSuiteCrossPrefetcherGangIdentical(t *testing.T) {
 func TestSuiteGangAccounting(t *testing.T) {
 	s := NewSuite(30_000)
 	s.Apps = []string{"media-streaming", "sibench"}
-	s.GangSize = 5
+	s.gangWidthOverride = 5
 	var progress atomic.Int64
 	s.Progress = func(done, total int, label string) { progress.Add(1) }
 	if _, err := s.Fig10(); err != nil {

@@ -145,7 +145,7 @@ func TestGangProbeTalliesMatchSerial(t *testing.T) {
 func TestSuiteGangProbesMatchSerial(t *testing.T) {
 	render := func(gangSize int) string {
 		s := smallSuite(t)
-		s.GangSize = gangSize
+		s.gangWidthOverride = gangSize
 		var out strings.Builder
 		for _, slug := range []string{"fig3b", "fig12a", "fig13"} {
 			e, _ := LookupExperiment(slug)

@@ -23,17 +23,13 @@ type Remote interface {
 	Submit(app string, cells []Cell, done func(c Cell, err error))
 }
 
-// remoteChunk bounds the steal unit when GangSize does not: same-app
-// groups are split into chunks of at most this many cells, so a wide
-// grid still spreads across workers.
-const remoteChunk = 10
-
 // submitRemote claims the batch's not-yet-planned cells and hands them to
-// the Remote in same-app chunks, in first-appearance order. Cells the
-// shared store already holds are completed immediately — the coordinator
-// never ships work whose result exists. Cells claimed here are completed
-// by remoteDone on every path; the results.Require that follows only
-// waits on them.
+// the Remote in same-app chunks of at most GangMaxWidth cells (one full
+// gang each, so a wide grid still spreads across workers), in
+// first-appearance order. Cells the shared store already holds are
+// completed immediately — the coordinator never ships work whose result
+// exists. Cells claimed here are completed by remoteDone on every path;
+// the results.Require that follows only waits on them.
 func (s *Suite) submitRemote(cells []Cell) {
 	claimed := make(map[string][]Cell)
 	var order []string
@@ -49,13 +45,9 @@ func (s *Suite) submitRemote(cells []Cell) {
 		}
 		claimed[c.App] = append(claimed[c.App], c)
 	}
-	chunk := s.GangSize
-	if chunk < 1 {
-		chunk = remoteChunk
-	}
 	for _, app := range order {
 		group := claimed[app]
-		parts := (len(group) + chunk - 1) / chunk
+		parts := (len(group) + GangMaxWidth - 1) / GangMaxWidth
 		for _, unit := range splitBalanced(group, parts) {
 			s.Remote.Submit(app, unit, s.remoteDone)
 		}

@@ -57,14 +57,6 @@ func Prepare(p workload.Profile, n int) *Workload {
 	return w
 }
 
-// AutoGangWindow, as Options.GangWindow (or Suite.GangWindow), selects the
-// measured adaptive traversal window: derived at gang startup from the
-// members' probed footprints against the host cache budget
-// (MeasuredGangWindow) instead of the fixed cpu.DefaultGangWindow
-// heuristic. Like every window choice it affects only host-cache
-// behavior, never results.
-const AutoGangWindow = -1
-
 // Options configure a simulation run.
 type Options struct {
 	WarmupFrac float64 // fraction of instructions treated as warmup (0.1)
@@ -74,11 +66,6 @@ type Options struct {
 	// the returned results are extrapolated back to the whole cache
 	// (cpu.Result.Extrapolated; DESIGN.md §10 documents the error bounds).
 	Sample cpu.SampleConfig
-	// GangWindow is the traversal window gang runs use: 0 selects the
-	// fixed cpu.DefaultGangWindow, AutoGangWindow derives it from measured
-	// footprints (MeasuredGangWindow), any positive value pins it. Results
-	// are byte-identical at every setting.
-	GangWindow int
 }
 
 // DefaultOptions mirrors the paper's setup: FDP platform, 10% warmup.
@@ -293,8 +280,7 @@ func RunGang(w *Workload, schemes []string, opts Options) (results []cpu.Result,
 // may differ in prefetcher platform as well as scheme, and all advance
 // through one shared Program traversal. Results and errors are indexed
 // like cells; window reports the traversal window the gang ran under
-// (derived from measured footprints when opts.GangWindow is
-// AutoGangWindow). Each member's result is bit-identical to
+// (MeasuredGangWindow). Each member's result is bit-identical to
 // Run(w, cell.Scheme, opts-with-cell.Prefetcher), and probe members
 // carry the same tallies as a serial run of their cell.
 func RunGangCells(w *Workload, cells []GangCell, opts Options) (results []CellResult, window int, errs []error) {
@@ -352,9 +338,8 @@ func RunGangSubsystems(w *Workload, subs []icache.Subsystem, opts Options) ([]cp
 
 // runGangMembers assembles and runs the gang: per-member platform configs
 // (stateful Extra prefetchers must not be shared across members),
-// struct-of-gangs hierarchies, and the traversal window — fixed, pinned,
-// or measured per opts.GangWindow. pfs is indexed like subs; "" selects
-// opts.Prefetcher.
+// struct-of-gangs hierarchies, and the measured traversal window. pfs is
+// indexed like subs; "" selects opts.Prefetcher.
 func runGangMembers(w *Workload, subs []icache.Subsystem, pfs []string, opts Options) ([]cpu.Result, int, error) {
 	if err := opts.Sample.Validate(); err != nil {
 		return nil, 0, err
@@ -373,11 +358,7 @@ func runGangMembers(w *Workload, subs []icache.Subsystem, pfs []string, opts Opt
 		cfg.Sample = opts.Sample
 		members[i] = cpu.GangMember{Cfg: cfg, Sub: sub, Hier: hiers[i]}
 	}
-	window := opts.GangWindow
-	if window == AutoGangWindow {
-		window = MeasuredGangWindow(w.Prog, subs)
-	}
-	gang := cpu.NewGang(w.Prog, members, window)
+	gang := cpu.NewGang(w.Prog, members, MeasuredGangWindow(w.Prog, subs))
 	results := gang.Run(warmup(w, opts))
 	for i := range results {
 		results[i] = results[i].Extrapolated()
@@ -385,8 +366,8 @@ func runGangMembers(w *Workload, subs []icache.Subsystem, pfs []string, opts Opt
 	return results, gang.Window(), nil
 }
 
-// MeasuredGangWindow derives the traversal window an auto-mode gang of
-// the given subsystems runs under: the widest member footprint — the
+// MeasuredGangWindow derives the traversal window every gang of the
+// given subsystems runs under: the widest member footprint — the
 // default hierarchy's struct-of-gangs share plus the subsystem's own
 // estimate — is probed against the detected (or ACIC_LLC_BYTES-
 // overridden) host cache budget, with the program's measured bytes per
@@ -404,7 +385,7 @@ func MeasuredGangWindow(prog *cpu.Program, subs []icache.Subsystem) int {
 }
 
 // GangWindowEstimate reports the traversal window a members-wide gang of
-// default-footprint schemes over w would run under in auto mode —
+// default-footprint schemes over w would run under —
 // `acic-trace warm` prints it per workload so the measured bytes/instr
 // and the host budget can be inspected without running a simulation.
 func GangWindowEstimate(w *Workload, members int) int {

@@ -79,23 +79,6 @@ type Suite struct {
 	// safely serves both lanes. 0 (or 64) keeps the byte-identical full
 	// reference path. Must be a power of two.
 	SampleSets int
-	// GangSize, when > 1, turns on gang execution: each Require batch
-	// groups its same-app cells — across prefetcher platforms, since the
-	// shared Program and its data-latency timeline are prefetcher-
-	// independent — and runs every group as a single cpu.Gang simulation,
-	// one Program traversal driving all of the group's (scheme,
-	// prefetcher) members, instead of one task per cell. Groups are split
-	// into chunks of at most GangSize, widened to fill idle pool slots
-	// (see submitGangs), so a wide grid still fans out across the worker
-	// pool. Results, the per-cell memo, the disk cache, and rendered
-	// output are byte-identical to per-cell execution at any GangSize.
-	GangSize int
-	// GangWindow selects the gang traversal window: 0 runs the fixed
-	// cpu.DefaultGangWindow heuristic, AutoGangWindow derives the window
-	// from measured member footprints against the host cache budget
-	// (MeasuredGangWindow), and any positive value pins it. Windows only
-	// affect host-cache behavior, never results or cache keys.
-	GangWindow int
 	// SampleOffset pins the sampled constituency when SampleSets is
 	// active: 0 (the default) derives a per-workload offset from the
 	// trace digest — constituency 0 is alignment-biased, see DESIGN.md
@@ -120,6 +103,10 @@ type Suite struct {
 	// cancellation checks — so cancellation drains within one cell's
 	// latency. CLIs wire SIGINT/SIGTERM here for graceful shutdown.
 	Context context.Context
+
+	// gangWidthOverride, when > 0, replaces GangWidth(N) as the gang
+	// width, so in-package tests can gang at small trace lengths.
+	gangWidthOverride int
 
 	once     sync.Once
 	pool     *engine.Pool
@@ -149,13 +136,32 @@ type Suite struct {
 // simulations ran, how many cells they produced, how many spanned more
 // than one prefetcher platform, the widest gang, and the traversal window
 // of the most recent run (uniform across runs unless workloads differ in
-// measured footprint under -gang-window auto).
+// measured footprint).
 type GangStats struct {
 	Gangs    int64
 	Cells    int64
 	Mixed    int64
 	MaxWidth int64
 	Window   int64
+}
+
+// GangMinTrace is the trace length from which a suite gangs: below it a
+// gang's shared traversal costs memory and saves no CPU time, while at
+// multi-million-instruction traces it runs ~1.15x faster than per-cell
+// execution (DESIGN.md §8).
+const GangMinTrace = 1_000_000
+
+// GangMaxWidth caps a gang's members and sizes the remote steal unit.
+const GangMaxWidth = 10
+
+// GangWidth is the gang policy every suite, CLI and worker shares: the
+// widest gang a trace of n instructions runs, or 0 when n is too short
+// for gangs to pay. Gangs only change throughput, never results.
+func GangWidth(n int) int {
+	if n < GangMinTrace {
+		return 0
+	}
+	return GangMaxWidth
 }
 
 // DefaultTraceLen is the default per-workload instruction count, overridable
@@ -254,13 +260,20 @@ func (s *Suite) sampleFor(app string) cpu.SampleConfig {
 // options returns the run options a suite cell of the given app — and
 // every instrumented per-app sweep the renderers fan out — executes
 // under: the paper defaults plus the suite's sampling mode (per-app, as
-// the sampled constituency is derived from the workload digest) and gang
-// window policy.
+// the sampled constituency is derived from the workload digest).
 func (s *Suite) options(app string) Options {
 	opts := DefaultOptions()
 	opts.Sample = s.sampleFor(app)
-	opts.GangWindow = s.GangWindow
 	return opts
+}
+
+// GangWidth reports the widest gang the suite runs (0 = gangs off):
+// GangWidth(N), the shared policy.
+func (s *Suite) GangWidth() int {
+	if s.gangWidthOverride > 0 {
+		return s.gangWidthOverride
+	}
+	return GangWidth(s.N)
 }
 
 // sampleFilter returns the constituency filter the app's suite runs build
@@ -342,9 +355,9 @@ func (s *Suite) wl(app string) *Workload {
 
 // Require plans and executes the given cells: duplicates (within the batch
 // and against earlier work) are executed once, the rest run in parallel on
-// the worker pool. With GangSize > 1 the batch's new cells are first
-// grouped into gang tasks (same app, any prefetcher — one Program
-// traversal per gang). All cells are attempted; the first error in
+// the worker pool. When the suite gangs (GangWidth > 0) the batch's new
+// cells are first grouped into gang tasks (same app, any prefetcher — one
+// Program traversal per gang). All cells are attempted; the first error in
 // argument order is returned. Renderers call Require before reading
 // results so their output does not depend on execution order.
 func (s *Suite) Require(cells ...Cell) error {
@@ -352,7 +365,7 @@ func (s *Suite) Require(cells ...Cell) error {
 	switch {
 	case s.Remote != nil && s.Remote.Live():
 		s.submitRemote(cells)
-	case s.GangSize > 1:
+	case s.GangWidth() > 0:
 		s.submitGangs(cells)
 	}
 	return s.results.Require(cells...)
@@ -362,10 +375,10 @@ func (s *Suite) Require(cells ...Cell) error {
 // in first-appearance order — prefetcher platforms mix freely within a
 // gang, since members share only the read-only Program — and submits one
 // pool task per chunk of the packing plan. The packer starts from the
-// minimum chunk count each group needs under GangSize and then splits the
-// widest chunks while idle pool slots remain (packChunks): with spare
+// minimum chunk count each group needs under GangWidth and then splits
+// the widest chunks while idle pool slots remain (packChunks): with spare
 // workers, narrower-but-more gangs fill the pool; with the pool
-// saturated, GangSize-wide gangs amortize traversals best. Cells claimed
+// saturated, full-width gangs amortize traversals best. Cells claimed
 // here are completed by their gang task; the results.Require that follows
 // only waits on them.
 func (s *Suite) submitGangs(cells []Cell) {
@@ -386,7 +399,7 @@ func (s *Suite) submitGangs(cells []Cell) {
 	}
 	// The occupancy snapshot is taken once, before any task launches, so
 	// the plan does not react to its own submissions.
-	chunks := packChunks(sizes, s.GangSize, s.pool.Idle())
+	chunks := packChunks(sizes, s.GangWidth(), s.pool.Idle())
 	for i, app := range order {
 		for _, gang := range splitBalanced(claimed[app], chunks[i]) {
 			s.pool.Go(func() { s.runGangTask(gang) })

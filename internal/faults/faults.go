@@ -84,16 +84,23 @@ type Injector struct {
 // Parse compiles a spec string. Grammar: semicolon-separated fields, each
 // either "seed=N" or "class:param=value[,param=value]" where class is one
 // of io-err, corrupt-artifact, panic-cell and param is p (probability in
-// [0,1]) or every (fire on every Nth draw, N >= 1). An empty spec is
-// valid and injects nothing.
+// [0,1]) or every (fire on every Nth draw, N >= 1). Each class, each of a
+// rule's parameters, and seed may appear once: a repeat is an error, not
+// a silent override. An empty spec is valid and injects nothing.
 func Parse(spec string) (*Injector, error) {
 	in := &Injector{spec: spec, seed: 1}
+	var seenClass [numClasses]bool
+	seenSeed := false
 	for _, field := range strings.Split(spec, ";") {
 		field = strings.TrimSpace(field)
 		if field == "" {
 			continue
 		}
 		if s, ok := strings.CutPrefix(field, "seed="); ok {
+			if seenSeed {
+				return nil, fmt.Errorf("faults: seed given twice")
+			}
+			seenSeed = true
 			n, err := strconv.ParseUint(s, 10, 64)
 			if err != nil {
 				return nil, fmt.Errorf("faults: bad seed %q: %v", s, err)
@@ -114,16 +121,27 @@ func Parse(spec string) (*Injector, error) {
 		if class < 0 {
 			return nil, fmt.Errorf("faults: unknown class %q (want io-err, corrupt-artifact, panic-cell, or net-err)", name)
 		}
+		if seenClass[class] {
+			return nil, fmt.Errorf("faults: %s: class given twice (one rule per class)", name)
+		}
+		seenClass[class] = true
 		var r rule
+		seenParam := map[string]bool{}
 		for _, kv := range strings.Split(params, ",") {
 			k, v, ok := strings.Cut(kv, "=")
 			if !ok {
 				return nil, fmt.Errorf("faults: %s: parameter %q is not key=value", name, kv)
 			}
+			if seenParam[k] {
+				return nil, fmt.Errorf("faults: %s: parameter %s given twice", name, k)
+			}
+			seenParam[k] = true
 			switch k {
 			case "p":
 				p, err := strconv.ParseFloat(v, 64)
-				if err != nil || p < 0 || p > 1 {
+				// The negated range check also rejects NaN, which fails
+				// every comparison and would make a rule that never fires.
+				if err != nil || !(p >= 0 && p <= 1) {
 					return nil, fmt.Errorf("faults: %s: p=%q is not a probability in [0,1]", name, v)
 				}
 				r.p = p

@@ -35,6 +35,11 @@ func TestParseInvalid(t *testing.T) {
 		{"io-err:", "key=value"},
 		{"panic-cell:p=0;seed=1", "needs p= or every="},
 		{"seed=xyz", "bad seed"},
+		{"io-err:p=NaN", "probability"},
+		{"io-err:p=+Inf", "probability"},
+		{"panic-cell:every=3;panic-cell:p=0.5", "given twice"},
+		{"io-err:p=0.1,p=0.2", "given twice"},
+		{"seed=1;io-err:p=0.1;seed=2", "given twice"},
 	}
 	for _, c := range cases {
 		err := Validate(c.spec)
@@ -42,6 +47,43 @@ func TestParseInvalid(t *testing.T) {
 			t.Errorf("Validate(%q) = %v, want error containing %q", c.spec, err, c.wantSub)
 		}
 	}
+}
+
+// FuzzFaultSpec: every spec Parse accepts compiles to rules that can
+// fire as written — each p a probability in [0,1], p and every exclusive,
+// one armed rule per rule field (none silently dropped) — and parsing it
+// again yields the same injector.
+func FuzzFaultSpec(f *testing.F) {
+	f.Add("io-err:p=0.01;corrupt-artifact:p=0.005;panic-cell:every=97;net-err:p=0.01;seed=1")
+	f.Fuzz(func(t *testing.T, spec string) {
+		in, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		armed := 0
+		for c, r := range in.rules {
+			if !(r.p >= 0 && r.p <= 1) || r.every < 0 || (r.p != 0 && r.every != 0) {
+				t.Fatalf("Parse(%q): %s rule %+v is not a valid schedule", spec, Class(c), r)
+			}
+			if r.p != 0 || r.every != 0 {
+				armed++
+			}
+		}
+		fields := 0
+		for _, field := range strings.Split(spec, ";") {
+			if field = strings.TrimSpace(field); field != "" && !strings.HasPrefix(field, "seed=") {
+				fields++
+			}
+		}
+		if armed != fields {
+			t.Fatalf("Parse(%q): %d rule fields but %d armed rules", spec, fields, armed)
+		}
+		again, err := Parse(spec)
+		if err != nil || again.seed != in.seed || again.rules != in.rules {
+			t.Fatalf("Parse(%q) is not deterministic: %+v/%d vs %+v/%d (%v)",
+				spec, in.rules, in.seed, again.rules, again.seed, err)
+		}
+	})
 }
 
 func TestEveryIsPeriodic(t *testing.T) {

@@ -1,8 +1,8 @@
 // Package perf measures raw simulator throughput — nanoseconds per block
 // access and accesses per second — for a grid of (scheme × prefetcher)
 // cells over one workload, plus suite-level sweep wall-clocks that compare
-// the per-scheme path against gang execution (one Program traversal
-// driving a whole scheme row, experiments.RunGang) and the prepare-phase
+// the per-cell path against gang execution (one Program traversal driving
+// a whole row, experiments.RunGangCells) and the prepare-phase
 // wall-clock over the staged workload artifact pipeline. The measurements
 // serialize to JSON (the files under bench/trajectory/ are the tracked
 // trajectory, one per hot-path PR — see its index.json) so that future
@@ -19,6 +19,7 @@ package perf
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -43,23 +44,24 @@ type Cell struct {
 	AccessesPerSec float64 `json:"accesses_per_sec"` // 1e9 / NsPerAccess
 }
 
-// Sweep is one suite-level wall-clock measurement: a full scheme row under
-// one prefetcher, timed end to end (subsystem construction included, as a
-// suite pays it) through the per-scheme path and through gangs. The
-// per-member results of both paths are verified identical before the
-// timing is reported.
+// Sweep is one serial-vs-gang wall-clock measurement: a row of (scheme ×
+// prefetcher) cells over one workload, timed end to end (subsystem
+// construction included, as a suite pays it) through the per-cell serial
+// path and through gangs of at most experiments.GangMaxWidth members
+// under the measured traversal window. Both paths are verified to
+// produce identical results before the timings are reported, so the
+// speedup travels with the determinism claim.
 type Sweep struct {
-	App               string   `json:"app"`
-	Prefetcher        string   `json:"prefetcher"`
-	Schemes           []string `json:"schemes"`
-	GangSize          int      `json:"gang_size"`
-	Runs              int      `json:"runs"` // repetitions per path; best kept
-	Accesses          int64    `json:"accesses_per_scheme"`
-	SerialWallNs      int64    `json:"serial_wall_ns"`
-	GangWallNs        int64    `json:"gang_wall_ns"`
-	GangSpeedup       float64  `json:"gang_speedup"`         // serial wall / gang wall
-	SerialNsPerAccess float64  `json:"serial_ns_per_access"` // aggregate over all members
-	GangNsPerAccess   float64  `json:"gang_ns_per_access"`
+	Name         string   `json:"name"` // row id (SweepRow.Name)
+	App          string   `json:"app"`
+	Schemes      []string `json:"schemes"`
+	Prefetchers  []string `json:"prefetchers"`
+	GangSize     int      `json:"gang_size"` // widest gang in the row
+	Runs         int      `json:"runs"`      // repetitions per path; best kept
+	Window       int      `json:"window"`    // measured traversal window (instructions)
+	SerialWallNs int64    `json:"serial_wall_ns"`
+	GangWallNs   int64    `json:"gang_wall_ns"`
+	GangSpeedup  float64  `json:"gang_speedup"` // serial wall / gang wall
 }
 
 // SampledSweep is one set-sampled fast-mode wall-clock measurement: a
@@ -81,30 +83,9 @@ type SampledSweep struct {
 	WorstCyclesErrPct float64  `json:"worst_cycles_err_pct"`
 }
 
-// CrossSweep is one cross-prefetcher row wall-clock measurement: a grid
-// of (scheme × prefetcher) cells over one workload, timed end to end
-// through the per-cell serial path and through gang execution twice —
-// once under the fixed default traversal window and once under the
-// measured adaptive window (experiments.AutoGangWindow). All three paths
-// are verified to produce identical results before the timings are
-// reported, so the speedups travel with the determinism claim.
-type CrossSweep struct {
-	Name         string   `json:"name"` // row composition id (CrossSweepRows)
-	App          string   `json:"app"`
-	Schemes      []string `json:"schemes"`
-	Prefetchers  []string `json:"prefetchers"`
-	GangSize     int      `json:"gang_size"`
-	Runs         int      `json:"runs"`        // repetitions per path; best kept
-	AutoWindow   int      `json:"auto_window"` // derived traversal window (instructions)
-	SerialWallNs int64    `json:"serial_wall_ns"`
-	FixedWallNs  int64    `json:"fixed_wall_ns"` // gang, default window
-	AutoWallNs   int64    `json:"auto_wall_ns"`  // gang, measured window
-	FixedSpeedup float64  `json:"fixed_speedup"` // serial wall / fixed-window gang wall
-	AutoSpeedup  float64  `json:"auto_speedup"`  // serial wall / auto-window gang wall
-}
-
-// CrossSweepRow names a tracked cross-prefetcher row composition.
-type CrossSweepRow struct {
+// SweepRow names one measured row: its schemes under each of its
+// prefetcher platforms.
+type SweepRow struct {
 	Name        string
 	Schemes     []string
 	Prefetchers []string
@@ -114,8 +95,8 @@ type CrossSweepRow struct {
 // scheme row on the entangling platform, the prefetcher-baseline row
 // (one scheme fanned across every platform — gangable only since rows
 // may span prefetchers), and the prefetch-aware comparison grid.
-func CrossSweepRows() []CrossSweepRow {
-	return []CrossSweepRow{
+func CrossSweepRows() []SweepRow {
+	return []SweepRow{
 		{Name: "fig20-21",
 			Schemes:     append([]string{experiments.Baseline}, experiments.SPECSchemes...),
 			Prefetchers: []string{"entangling"}},
@@ -148,7 +129,6 @@ type Report struct {
 	Cells            []Cell                   `json:"cells"`
 	Sweeps           []Sweep                  `json:"gang_sweeps,omitempty"`
 	SampledSweeps    []SampledSweep           `json:"sampled_sweeps,omitempty"`
-	CrossSweeps      []CrossSweep             `json:"cross_sweeps,omitempty"`
 	// DistributedSweeps records the coordinator/worker lane measurements
 	// (distributed.go) when Config.DistributedSweeps asked for them.
 	DistributedSweeps []DistributedSweep `json:"distributed_sweeps,omitempty"`
@@ -176,10 +156,11 @@ type Config struct {
 	Schemes     []string // scheme names (default DefaultSchemes)
 	Prefetchers []string // prefetcher platforms (default {"none", "fdp"})
 	Repeats     int      // timed repetitions per cell, best kept (default 3)
-	GangSize    int      // schemes per gang in the sweep (0 = all; < 0 skips sweeps)
-	GangWindow  int      // gang traversal window for the plain gang sweeps (experiments.Options.GangWindow encoding)
 	SampleSets  int      // also measure set-sampled sweeps at this -sample-sets (0 = skip)
 	ArtifactDir string   // persistent workload artifact store ("" = prepare in memory)
+	// GangSweeps adds the serial-vs-gang sweeps (Sweep): one scheme row
+	// per configured prefetcher, then CrossSweepRows.
+	GangSweeps bool
 	// DistributedSweeps adds the distributed-execution measurements: the
 	// full DistributedSchemes × datacenter-apps grid under FDP, run
 	// single-process and through a coordinator at each worker count in
@@ -282,14 +263,14 @@ func Measure(cfg Config) (*Report, error) {
 			rep.Cells = append(rep.Cells, cell)
 		}
 	}
-	if cfg.GangSize >= 0 {
-		for _, pf := range cfg.Prefetchers {
+	if cfg.GangSweeps {
+		for _, row := range sweepRows(cfg) {
 			if canceled() {
 				return finish()
 			}
-			sweep, err := measureSweep(w, cfg, pf)
+			sweep, err := measureSweep(w, cfg, row)
 			if err != nil {
-				return nil, fmt.Errorf("perf: sweep %s: %w", pf, err)
+				return nil, fmt.Errorf("perf: sweep %s: %w", row.Name, err)
 			}
 			rep.Sweeps = append(rep.Sweeps, sweep)
 		}
@@ -304,18 +285,6 @@ func Measure(cfg Config) (*Report, error) {
 				return nil, fmt.Errorf("perf: sampled sweep %s: %w", pf, err)
 			}
 			rep.SampledSweeps = append(rep.SampledSweeps, sweep)
-		}
-	}
-	if cfg.GangSize >= 0 {
-		for _, row := range CrossSweepRows() {
-			if canceled() {
-				return finish()
-			}
-			sweep, err := measureCrossSweep(w, cfg, row)
-			if err != nil {
-				return nil, fmt.Errorf("perf: cross sweep %s: %w", row.Name, err)
-			}
-			rep.CrossSweeps = append(rep.CrossSweeps, sweep)
 		}
 	}
 	if cfg.DistributedSweeps {
@@ -380,103 +349,103 @@ func heapWatermark(fn func() error) (int64, error) {
 	return int64(high - base), err
 }
 
-// measureCrossSweep times one cross-prefetcher row three ways — the
-// per-cell serial path, gang execution under the fixed default window,
-// and gang execution under the measured adaptive window — keeping the
-// best wall-clock of Repeats runs for each, and verifies all three paths
-// produced identical results. One gang covers the whole row (capped at
-// GangSize members per chunk, like the suite scheduler).
-func measureCrossSweep(w *experiments.Workload, cfg Config, row CrossSweepRow) (CrossSweep, error) {
+// sweepRows lists the measured serial-vs-gang rows: the configured
+// scheme row under each configured prefetcher (named after it), then the
+// tracked cross-prefetcher rows.
+func sweepRows(cfg Config) []SweepRow {
+	rows := make([]SweepRow, 0, len(cfg.Prefetchers)+len(CrossSweepRows()))
+	for _, pf := range cfg.Prefetchers {
+		rows = append(rows, SweepRow{Name: pf, Schemes: cfg.Schemes, Prefetchers: []string{pf}})
+	}
+	return append(rows, CrossSweepRows()...)
+}
+
+// bestOf runs fn repeats times and keeps the fastest run's results.
+func bestOf(repeats int, fn func() ([]cpu.Result, error)) ([]cpu.Result, time.Duration, error) {
+	var best time.Duration
+	var bestRes []cpu.Result
+	for r := 0; r < repeats; r++ {
+		start := time.Now()
+		res, err := fn()
+		if err != nil {
+			return nil, 0, err
+		}
+		if elapsed := time.Since(start); best == 0 || elapsed < best {
+			best, bestRes = elapsed, res
+		}
+	}
+	return bestRes, best, nil
+}
+
+// measureSweep times one row two ways — the per-cell serial path
+// (construct + simulate each cell independently) and gangs of at most
+// experiments.GangMaxWidth cells, like the suite scheduler — keeping the
+// best wall-clock of Repeats runs for each, and verifies the two paths
+// produced identical results.
+func measureSweep(w *experiments.Workload, cfg Config, row SweepRow) (Sweep, error) {
 	cells := make([]experiments.GangCell, 0, len(row.Schemes)*len(row.Prefetchers))
 	for _, pf := range row.Prefetchers {
 		for _, scheme := range row.Schemes {
 			cells = append(cells, experiments.GangCell{Scheme: scheme, Prefetcher: pf})
 		}
 	}
-	gangSize := cfg.GangSize
-	if gangSize == 0 || gangSize > len(cells) {
-		gangSize = len(cells)
-	}
+	gangSize := min(experiments.GangMaxWidth, len(cells))
 
-	var serialRes []cpu.Result
-	var serialBest time.Duration
-	for r := 0; r < cfg.Repeats; r++ {
+	serialRes, serialBest, err := bestOf(cfg.Repeats, func() ([]cpu.Result, error) {
 		res := make([]cpu.Result, len(cells))
-		start := time.Now()
 		for i, c := range cells {
 			opts := experiments.DefaultOptions()
 			opts.Prefetcher = c.Prefetcher
 			sub, err := experiments.NewScheme(c.Scheme, w)
 			if err != nil {
-				return CrossSweep{}, err
+				return nil, err
 			}
 			if res[i], err = experiments.RunSubsystem(w, sub, opts); err != nil {
-				return CrossSweep{}, err
+				return nil, err
 			}
 		}
-		if elapsed := time.Since(start); serialBest == 0 || elapsed < serialBest {
-			serialBest = elapsed
-			serialRes = res
-		}
-	}
-
-	gangPath := func(window int) ([]cpu.Result, time.Duration, int, error) {
-		var best time.Duration
-		var bestRes []cpu.Result
-		var usedWindow int
-		for r := 0; r < cfg.Repeats; r++ {
-			res := make([]cpu.Result, 0, len(cells))
-			start := time.Now()
-			for at := 0; at < len(cells); at += gangSize {
-				chunk := cells[at:min(at+gangSize, len(cells))]
-				opts := experiments.DefaultOptions()
-				opts.GangWindow = window
-				results, ran, errs := experiments.RunGangCells(w, chunk, opts)
-				for _, err := range errs {
-					if err != nil {
-						return nil, 0, 0, err
-					}
-				}
-				usedWindow = ran
-				for _, r := range results {
-					res = append(res, r.Result)
-				}
-			}
-			if elapsed := time.Since(start); best == 0 || elapsed < best {
-				best = elapsed
-				bestRes = res
-			}
-		}
-		return bestRes, best, usedWindow, nil
-	}
-	fixedRes, fixedBest, _, err := gangPath(0)
+		return res, nil
+	})
 	if err != nil {
-		return CrossSweep{}, err
+		return Sweep{}, err
 	}
-	autoRes, autoBest, autoWindow, err := gangPath(experiments.AutoGangWindow)
+	var window int
+	gangRes, gangBest, err := bestOf(cfg.Repeats, func() ([]cpu.Result, error) {
+		res := make([]cpu.Result, 0, len(cells))
+		for at := 0; at < len(cells); at += gangSize {
+			chunk := cells[at:min(at+gangSize, len(cells))]
+			results, ran, errs := experiments.RunGangCells(w, chunk, experiments.DefaultOptions())
+			if err := errors.Join(errs...); err != nil {
+				return nil, err
+			}
+			window = ran
+			for _, r := range results {
+				res = append(res, r.Result)
+			}
+		}
+		return res, nil
+	})
 	if err != nil {
-		return CrossSweep{}, err
+		return Sweep{}, err
 	}
 
 	for i := range serialRes {
-		if serialRes[i] != fixedRes[i] || serialRes[i] != autoRes[i] {
-			return CrossSweep{}, fmt.Errorf("gang result diverges from serial for %s/%s",
-				cells[i].Scheme, cells[i].Prefetcher)
+		if serialRes[i] != gangRes[i] {
+			return Sweep{}, fmt.Errorf("gang result diverges from serial for %s/%s: %+v != %+v",
+				cells[i].Scheme, cells[i].Prefetcher, gangRes[i], serialRes[i])
 		}
 	}
-	return CrossSweep{
+	return Sweep{
 		Name:         row.Name,
 		App:          cfg.App,
 		Schemes:      row.Schemes,
 		Prefetchers:  row.Prefetchers,
 		GangSize:     gangSize,
 		Runs:         cfg.Repeats,
-		AutoWindow:   autoWindow,
+		Window:       window,
 		SerialWallNs: serialBest.Nanoseconds(),
-		FixedWallNs:  fixedBest.Nanoseconds(),
-		AutoWallNs:   autoBest.Nanoseconds(),
-		FixedSpeedup: float64(serialBest.Nanoseconds()) / float64(fixedBest.Nanoseconds()),
-		AutoSpeedup:  float64(serialBest.Nanoseconds()) / float64(autoBest.Nanoseconds()),
+		GangWallNs:   gangBest.Nanoseconds(),
+		GangSpeedup:  float64(serialBest.Nanoseconds()) / float64(gangBest.Nanoseconds()),
 	}, nil
 }
 
@@ -487,39 +456,25 @@ func measureCrossSweep(w *experiments.Workload, cfg Config, row CrossSweepRow) (
 func measureSampledSweep(w *experiments.Workload, cfg Config, pf string) (SampledSweep, error) {
 	opts := experiments.DefaultOptions()
 	opts.Prefetcher = pf
-
-	var fullRes []cpu.Result
-	var fullBest time.Duration
-	for r := 0; r < cfg.Repeats; r++ {
-		res := make([]cpu.Result, len(cfg.Schemes))
-		start := time.Now()
-		for i, scheme := range cfg.Schemes {
-			var err error
-			if res[i], err = experiments.RunSampled(w, scheme, 0, opts); err != nil {
-				return SampledSweep{}, err
+	row := func(sampleSets int) func() ([]cpu.Result, error) {
+		return func() ([]cpu.Result, error) {
+			res := make([]cpu.Result, len(cfg.Schemes))
+			for i, scheme := range cfg.Schemes {
+				var err error
+				if res[i], err = experiments.RunSampled(w, scheme, sampleSets, opts); err != nil {
+					return nil, err
+				}
 			}
-		}
-		if elapsed := time.Since(start); fullBest == 0 || elapsed < fullBest {
-			fullBest = elapsed
-			fullRes = res
+			return res, nil
 		}
 	}
-
-	var sampRes []cpu.Result
-	var sampBest time.Duration
-	for r := 0; r < cfg.Repeats; r++ {
-		res := make([]cpu.Result, len(cfg.Schemes))
-		start := time.Now()
-		for i, scheme := range cfg.Schemes {
-			var err error
-			if res[i], err = experiments.RunSampled(w, scheme, cfg.SampleSets, opts); err != nil {
-				return SampledSweep{}, err
-			}
-		}
-		if elapsed := time.Since(start); sampBest == 0 || elapsed < sampBest {
-			sampBest = elapsed
-			sampRes = res
-		}
+	fullRes, fullBest, err := bestOf(cfg.Repeats, row(0))
+	if err != nil {
+		return SampledSweep{}, err
+	}
+	sampRes, sampBest, err := bestOf(cfg.Repeats, row(cfg.SampleSets))
+	if err != nil {
+		return SampledSweep{}, err
 	}
 
 	var sum, worst float64
@@ -541,85 +496,6 @@ func measureSampledSweep(w *experiments.Workload, cfg Config, pf string) (Sample
 		Speedup:           float64(fullBest.Nanoseconds()) / float64(sampBest.Nanoseconds()),
 		MeanCyclesErrPct:  sum / float64(len(fullRes)),
 		WorstCyclesErrPct: worst,
-	}, nil
-}
-
-// measureSweep times one full scheme row two ways — the per-scheme path
-// (construct + simulate each cell independently, as the PR 2 engine did)
-// and the gang path (experiments.RunGang over GangSize-chunks) — keeping
-// the best wall-clock of Repeats runs for each, and verifies the two paths
-// produced identical results.
-func measureSweep(w *experiments.Workload, cfg Config, pf string) (Sweep, error) {
-	opts := experiments.DefaultOptions()
-	opts.Prefetcher = pf
-	gangSize := cfg.GangSize
-	if gangSize == 0 || gangSize > len(cfg.Schemes) {
-		gangSize = len(cfg.Schemes)
-	}
-
-	var serialRes []cpu.Result
-	var serialBest time.Duration
-	for r := 0; r < cfg.Repeats; r++ {
-		res := make([]cpu.Result, len(cfg.Schemes))
-		start := time.Now()
-		for i, scheme := range cfg.Schemes {
-			sub, err := experiments.NewScheme(scheme, w)
-			if err != nil {
-				return Sweep{}, err
-			}
-			if res[i], err = experiments.RunSubsystem(w, sub, opts); err != nil {
-				return Sweep{}, err
-			}
-		}
-		if elapsed := time.Since(start); serialBest == 0 || elapsed < serialBest {
-			serialBest = elapsed
-			serialRes = res
-		}
-	}
-
-	var gangRes []cpu.Result
-	var gangBest time.Duration
-	for r := 0; r < cfg.Repeats; r++ {
-		res := make([]cpu.Result, 0, len(cfg.Schemes))
-		start := time.Now()
-		for at := 0; at < len(cfg.Schemes); at += gangSize {
-			chunk := cfg.Schemes[at:min(at+gangSize, len(cfg.Schemes))]
-			gangOpts := opts
-			gangOpts.GangWindow = cfg.GangWindow
-			results, errs := experiments.RunGang(w, chunk, gangOpts)
-			for _, err := range errs {
-				if err != nil {
-					return Sweep{}, err
-				}
-			}
-			res = append(res, results...)
-		}
-		if elapsed := time.Since(start); gangBest == 0 || elapsed < gangBest {
-			gangBest = elapsed
-			gangRes = res
-		}
-	}
-
-	for i := range serialRes {
-		if serialRes[i] != gangRes[i] {
-			return Sweep{}, fmt.Errorf("gang result diverges from serial for %s: %+v != %+v",
-				cfg.Schemes[i], gangRes[i], serialRes[i])
-		}
-	}
-	accesses := int64(serialRes[0].ICache.Accesses)
-	total := float64(accesses) * float64(len(cfg.Schemes))
-	return Sweep{
-		App:               cfg.App,
-		Prefetcher:        pf,
-		Schemes:           cfg.Schemes,
-		GangSize:          gangSize,
-		Runs:              cfg.Repeats,
-		Accesses:          accesses,
-		SerialWallNs:      serialBest.Nanoseconds(),
-		GangWallNs:        gangBest.Nanoseconds(),
-		GangSpeedup:       float64(serialBest.Nanoseconds()) / float64(gangBest.Nanoseconds()),
-		SerialNsPerAccess: float64(serialBest.Nanoseconds()) / total,
-		GangNsPerAccess:   float64(gangBest.Nanoseconds()) / total,
 	}, nil
 }
 
@@ -726,37 +602,19 @@ func (r *Report) SampledSweepTable() *stats.Table {
 	return t
 }
 
-// SweepTable renders the gang-sweep measurements (nil when none were run).
+// SweepTable renders the serial-vs-gang sweep measurements (nil when
+// none were run).
 func (r *Report) SweepTable() *stats.Table {
 	if len(r.Sweeps) == 0 {
 		return nil
 	}
 	t := &stats.Table{Header: []string{
-		"prefetcher", "schemes", "gang-size", "serial-ms", "gang-ms", "gang-speedup"}}
+		"row", "cells", "gang-size", "window", "serial-ms", "gang-ms", "gang-speedup"}}
 	for _, s := range r.Sweeps {
-		t.AddRow(s.Prefetcher, len(s.Schemes), s.GangSize,
+		t.AddRow(s.Name, len(s.Schemes)*len(s.Prefetchers), s.GangSize, s.Window,
 			fmt.Sprintf("%.1f", float64(s.SerialWallNs)/1e6),
 			fmt.Sprintf("%.1f", float64(s.GangWallNs)/1e6),
 			fmt.Sprintf("%.2fx", s.GangSpeedup))
-	}
-	return t
-}
-
-// CrossSweepTable renders the cross-prefetcher sweep measurements (nil
-// when none were run).
-func (r *Report) CrossSweepTable() *stats.Table {
-	if len(r.CrossSweeps) == 0 {
-		return nil
-	}
-	t := &stats.Table{Header: []string{
-		"row", "cells", "auto-window", "serial-ms", "fixed-ms", "auto-ms", "fixed-speedup", "auto-speedup"}}
-	for _, s := range r.CrossSweeps {
-		t.AddRow(s.Name, len(s.Schemes)*len(s.Prefetchers), s.AutoWindow,
-			fmt.Sprintf("%.1f", float64(s.SerialWallNs)/1e6),
-			fmt.Sprintf("%.1f", float64(s.FixedWallNs)/1e6),
-			fmt.Sprintf("%.1f", float64(s.AutoWallNs)/1e6),
-			fmt.Sprintf("%.2fx", s.FixedSpeedup),
-			fmt.Sprintf("%.2fx", s.AutoSpeedup))
 	}
 	return t
 }

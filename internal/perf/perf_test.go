@@ -29,9 +29,9 @@ func sampleReport() *Report {
 				Runs: 3, NsPerAccess: 250, AccessesPerSec: 4e6},
 		},
 		Sweeps: []Sweep{{
-			App: "a", Prefetcher: "fdp", Schemes: []string{"lru", "opt"}, GangSize: 2,
-			Runs: 3, Accesses: 1000, SerialWallNs: 2_000_000, GangWallNs: 1_000_000,
-			GangSpeedup: 2, SerialNsPerAccess: 1000, GangNsPerAccess: 500,
+			Name: "fdp", App: "a", Schemes: []string{"lru", "opt"}, Prefetchers: []string{"fdp"},
+			GangSize: 2, Runs: 3, Window: 8192, SerialWallNs: 2_000_000, GangWallNs: 1_000_000,
+			GangSpeedup: 2,
 		}},
 		DistributedSweeps: []DistributedSweep{{
 			Apps: []string{"a"}, Schemes: []string{"lru", "opt"}, Prefetcher: "fdp",
@@ -189,8 +189,9 @@ func TestCompareMissingCells(t *testing.T) {
 	}
 }
 
-// TestMeasureTiny runs a minimal grid end to end: one scheme, one
-// prefetcher, and a two-member gang sweep whose identical-results check is
+// TestMeasureTiny runs a minimal grid end to end: two schemes, one
+// prefetcher, and the serial-vs-gang sweeps — the two-member scheme row
+// plus the cross-prefetcher rows — whose identical-results checks are
 // live. Small n keeps this fast; it exercises the real simulator.
 func TestMeasureTiny(t *testing.T) {
 	rep, err := Measure(Config{
@@ -199,7 +200,7 @@ func TestMeasureTiny(t *testing.T) {
 		Schemes:     []string{"lru", "opt"},
 		Prefetchers: []string{"none"},
 		Repeats:     1,
-		GangSize:    2,
+		GangSweeps:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -212,12 +213,17 @@ func TestMeasureTiny(t *testing.T) {
 			t.Errorf("implausible cell: %+v", c)
 		}
 	}
-	if len(rep.Sweeps) != 1 {
-		t.Fatalf("measured %d sweeps, want 1", len(rep.Sweeps))
+	if want := 1 + len(CrossSweepRows()); len(rep.Sweeps) != want {
+		t.Fatalf("measured %d sweeps, want %d", len(rep.Sweeps), want)
 	}
-	s := rep.Sweeps[0]
-	if s.SerialWallNs <= 0 || s.GangWallNs <= 0 || s.GangSpeedup <= 0 || s.Accesses <= 0 {
-		t.Errorf("implausible sweep: %+v", s)
+	if s := rep.Sweeps[0]; s.Name != "none" || s.GangSize != 2 {
+		t.Errorf("scheme row = %+v, want the 2-wide none row", s)
+	}
+	for _, s := range rep.Sweeps {
+		if s.SerialWallNs <= 0 || s.GangWallNs <= 0 || s.GangSpeedup <= 0 || s.Window <= 0 ||
+			s.GangSize < 1 || s.GangSize > experiments.GangMaxWidth {
+			t.Errorf("implausible sweep: %+v", s)
+		}
 	}
 }
 
@@ -229,7 +235,7 @@ func TestMeasurePrepareStats(t *testing.T) {
 	cfg := Config{
 		App: "media-streaming", N: 20_000,
 		Schemes: []string{"lru"}, Prefetchers: []string{"none"},
-		Repeats: 1, GangSize: -1, ArtifactDir: dir,
+		Repeats: 1, ArtifactDir: dir,
 	}
 	cold, err := Measure(cfg)
 	if err != nil {
@@ -314,7 +320,7 @@ func TestMeasureInterrupted(t *testing.T) {
 		Context: ctx,
 		App:     "media-streaming", N: 20_000,
 		Schemes: []string{"lru"}, Prefetchers: []string{"none"},
-		Repeats: 1, GangSize: 2,
+		Repeats: 1, GangSweeps: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -336,7 +342,7 @@ func TestMeasureFaultsBlock(t *testing.T) {
 	rep, err := Measure(Config{
 		App: "media-streaming", N: 20_000,
 		Schemes: []string{"lru"}, Prefetchers: []string{"none"},
-		Repeats: 1, GangSize: -1,
+		Repeats: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -349,18 +355,18 @@ func TestMeasureFaultsBlock(t *testing.T) {
 	}
 }
 
-// TestMeasureSkipsSweeps: a negative GangSize disables the sweep section.
+// TestMeasureSkipsSweeps: without GangSweeps the sweep section is empty.
 func TestMeasureSkipsSweeps(t *testing.T) {
 	rep, err := Measure(Config{
 		App: "media-streaming", N: 20_000,
 		Schemes: []string{"lru"}, Prefetchers: []string{"none"},
-		Repeats: 1, GangSize: -1,
+		Repeats: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Sweeps) != 0 {
-		t.Errorf("sweeps measured despite GangSize=-1: %+v", rep.Sweeps)
+		t.Errorf("sweeps measured without GangSweeps: %+v", rep.Sweeps)
 	}
 }
 
