@@ -10,6 +10,7 @@ import (
 	"acic/internal/icache"
 	"acic/internal/mem"
 	"acic/internal/policy"
+	"acic/internal/prefetch"
 	"acic/internal/workload"
 )
 
@@ -130,6 +131,44 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("gang: steady-state advance allocates %.2f times", allocs)
+		}
+	})
+
+	// The set-sampled lane shares the fill protocol (prefetch issue and
+	// completion, demand merge, misses) with the full lane; once warm,
+	// advancing it must stay off the heap too, under FDP emulation and
+	// under a table prefetcher's pending list.
+	t.Run("sampled", func(t *testing.T) {
+		sample := SampleConfig{Stride: 8, Offset: 3}
+		platforms := map[string]func(*Config){
+			"fdp": func(*Config) {},
+			"entangling": func(c *Config) {
+				c.UseFDP = false
+				c.Extra = prefetch.NewEntangling(prefetch.DefaultEntanglingConfig())
+			},
+		}
+		for pf, apply := range platforms {
+			cfg := DefaultConfig()
+			apply(&cfg)
+			cfg.Sample = sample
+			cc := core.DefaultConfig()
+			ic := base()
+			ic.Policy = policy.NewLRU()
+			ic.ACIC = &cc
+			ic.Sample = sample.Filter()
+			s := NewSimulator(cfg, NewProgram(tr, ann), icache.MustNew(ic), mem.New(mem.DefaultConfig()))
+			s.start(0)
+			bound := 3 * n / 4
+			if s.runTo(bound) {
+				t.Fatalf("%s: trace too short to measure sampled steady state", pf)
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				bound += 64
+				s.runTo(bound)
+			})
+			if allocs != 0 {
+				t.Errorf("sampled/%s: steady-state advance allocates %.2f times", pf, allocs)
+			}
 		}
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"acic/internal/cpu"
+	"acic/internal/mem"
 	"acic/internal/workload"
 )
 
@@ -70,4 +71,50 @@ func TestLaneDigest(t *testing.T) {
 			"a byte-identity refactor must not change it; a model change bumps cacheSchemaVersion and records the new digest",
 			got, laneDigest)
 	}
+}
+
+// TestFillProtocolInvariants checks the counting contract of the fill
+// protocol on the raw (not extrapolated) Result of every lane-pin cell:
+// late misses are a subset of demand misses, demand misses a subset of
+// the accesses the lane simulated, every subsystem access is a hit or a
+// miss, every non-late demand miss is a subsystem miss, and the stall
+// breakdown fits in the cycle budget. The full lane also offers every
+// block access to the subsystem; the sampled lane never visits the
+// accesses it skips, by design.
+func TestFillProtocolInvariants(t *testing.T) {
+	laneCells(t, func(name string, w *Workload, scheme string, opts Options) {
+		sub, _, err := buildScheme(scheme, w, opts.Sample)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cfg, err := platformConfig(opts.Prefetcher)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Sample = opts.Sample
+		r := cpu.NewSimulator(cfg, w.Prog, sub, mem.New(mem.DefaultConfig())).Run(warmup(w, opts))
+		ic := r.ICache
+		accesses := r.BlockAccesses
+		if opts.Sample.Enabled() {
+			accesses = r.SampledAccesses
+		}
+		if r.LateMisses > r.DemandMisses {
+			t.Errorf("%s: late misses %d > demand misses %d", name, r.LateMisses, r.DemandMisses)
+		}
+		if r.DemandMisses > uint64(accesses) {
+			t.Errorf("%s: demand misses %d > simulated accesses %d", name, r.DemandMisses, accesses)
+		}
+		if ic.Hits+ic.Misses != ic.Accesses {
+			t.Errorf("%s: icache hits %d + misses %d != accesses %d", name, ic.Hits, ic.Misses, ic.Accesses)
+		}
+		if ic.Misses < r.DemandMisses-r.LateMisses {
+			t.Errorf("%s: icache misses %d < non-late demand misses %d", name, ic.Misses, r.DemandMisses-r.LateMisses)
+		}
+		if r.IMissStallCycles+r.RedirectStallCycles > r.Cycles {
+			t.Errorf("%s: stalls %d + %d exceed cycles %d", name, r.IMissStallCycles, r.RedirectStallCycles, r.Cycles)
+		}
+		if !opts.Sample.Enabled() && ic.Accesses+ic.Skipped != uint64(len(w.Prog.Blocks)) {
+			t.Errorf("%s: icache accesses %d + skipped %d != block accesses %d", name, ic.Accesses, ic.Skipped, len(w.Prog.Blocks))
+		}
+	})
 }
