@@ -645,7 +645,7 @@ func (s *Simulator) issuePrefetch(block uint64) bool {
 	if _, pending := s.prefetchPending(block); pending {
 		return true
 	}
-	readyAt := s.instrFillReady(block)
+	readyAt := s.instrFillReady(block, s.cycle)
 	if len(s.pfInFlight) == 0 || readyAt < s.pfNextReady {
 		s.pfNextReady = readyAt
 	}
@@ -654,16 +654,13 @@ func (s *Simulator) issuePrefetch(block uint64) bool {
 	return true
 }
 
-// instrFillReady reserves the instruction-side L2 port and returns when the
-// fill for block completes. The port models finite L2 bandwidth: a scheme
-// that turns the FDP stream into a firehose (by discarding blocks and
-// re-prefetching them) queues behind its own traffic, as it would in
-// hardware.
-func (s *Simulator) instrFillReady(block uint64) int64 {
-	start := s.cycle
-	if s.l2NextFree > start {
-		start = s.l2NextFree
-	}
+// instrFillReady reserves the instruction-side L2 port for a fill of
+// block requested at cycle from and returns when the fill completes. The
+// port models finite L2 bandwidth: a scheme that turns the FDP stream into
+// a firehose (by discarding blocks and re-prefetching them) queues behind
+// its own traffic, as it would in hardware.
+func (s *Simulator) instrFillReady(block uint64, from int64) int64 {
+	start := max(from, s.l2NextFree)
 	s.l2NextFree = start + s.cfg.L2ServiceInterval
 	return start + s.hier.InstrMiss(block)
 }
@@ -806,42 +803,67 @@ func (s *Simulator) fetch() {
 	}
 }
 
-// demandAccess performs the block-granular demand fetch; returns true when
-// the block supplied instructions this cycle (hit), false when the front
-// end must stall for a fill.
+// demandAccess is the full lane's demand fetch of block b: it runs the
+// fill protocol and stalls the front end until the block is ready. It
+// returns true when the block supplied instructions this cycle (hit),
+// false when the front end must stall for a fill.
 func (s *Simulator) demandAccess(b uint64) bool {
 	s.haveBlock = true
 	s.lastBlock = b
 	s.accessIdx++
-	idx := s.accessIdx - 1
-
-	if readyAt, pending := s.prefetchPending(b); pending {
-		// Late prefetch: the block is in flight. Install it now, charge
-		// the residual latency, and count a demand miss.
-		s.removeInFlight(b)
-		s.sub.PrefetchFill(b, idx, s.cycle)
-		s.sub.Fetch(b, idx, s.cycle)
-		s.demandMisses++
-		s.lateMisses++
-		s.extraPrefetch(b, true)
-		if readyAt > s.cycle {
-			s.stallUntil = readyAt
-			s.stallIsMiss = true
-			return false
-		}
+	ready := s.demand(b, s.accessIdx-1)
+	if ready <= s.cycle {
 		return true
 	}
+	s.stallUntil = ready
+	s.stallIsMiss = true
+	return false
+}
 
-	hit := s.sub.Fetch(b, idx, s.cycle)
-	if hit {
+// The fill protocol: demand, arrive and fetchBlock are the one path by
+// which both lanes offer a demanded block to the i-cache subsystem and
+// drive the table prefetcher. Each returns the cycle the block is ready
+// (s.cycle on a hit); how that cycle stalls fetch is the caller's —
+// demandAccess here, sampledDemand in the sampled lane.
+
+// demand performs demand access idx of block b: it merges into a pending
+// prefetch of b, or fetches b.
+func (s *Simulator) demand(b uint64, idx int64) int64 {
+	if readyAt, pending := s.prefetchPending(b); pending {
+		s.removeInFlight(b)
+		return s.arrive(b, idx, readyAt)
+	}
+	return s.fetchBlock(b, idx)
+}
+
+// arrive offers the fill of a prefetch of b, ready at readyAt, to the
+// subsystem at demand access idx. A prefetch still in flight is late: the
+// demand installs it now, counts a demand miss and waits only the residual
+// latency. A landed fill falls through to the fetch, which still misses
+// when the scheme's admission path dropped the fill.
+func (s *Simulator) arrive(b uint64, idx, readyAt int64) int64 {
+	s.sub.PrefetchFill(b, idx, s.cycle)
+	if readyAt <= s.cycle {
+		return s.fetchBlock(b, idx)
+	}
+	s.sub.Fetch(b, idx, s.cycle)
+	s.demandMisses++
+	s.lateMisses++
+	s.extraPrefetch(b, true)
+	return readyAt
+}
+
+// fetchBlock fetches b: a hit, or a demand miss that requests the full
+// fill through the instruction-side L2 port.
+func (s *Simulator) fetchBlock(b uint64, idx int64) int64 {
+	if s.sub.Fetch(b, idx, s.cycle) {
 		s.extraPrefetch(b, false)
-		return true
+		return s.cycle
 	}
 	s.demandMisses++
-	s.stallUntil = s.instrFillReady(b)
-	s.stallIsMiss = true
+	ready := s.instrFillReady(b, s.cycle)
 	s.extraPrefetch(b, true)
-	return false
+	return ready
 }
 
 func (s *Simulator) removeInFlight(block uint64) {
@@ -854,13 +876,17 @@ func (s *Simulator) removeInFlight(block uint64) {
 	}
 }
 
-// extraPrefetch drives the optional table prefetcher (entangling).
+// extraPrefetch drives the optional table prefetcher (entangling),
+// issuing its candidates in the simulated constituencies (every block when
+// sampling is off: mask and match are both zero).
 func (s *Simulator) extraPrefetch(block uint64, miss bool) {
 	if s.cfg.Extra == nil {
 		return
 	}
 	s.pfScratch = s.cfg.Extra.OnAccess(block, s.cycle, miss, s.pfScratch[:0])
 	for _, c := range s.pfScratch {
-		s.issuePrefetch(c)
+		if c&s.sampleMask == s.sampleMatch {
+			s.issuePrefetch(c)
+		}
 	}
 }

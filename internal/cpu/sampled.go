@@ -31,9 +31,12 @@
 // fetch-target-queue window "reaches" access a when access a-FTQBlocks is
 // consumed, a prefetch cannot start before the last front-end redirect
 // resolves, and the sampled-scaled L2 port and MSHR pool serialize issues
-// exactly as the reference's per-cycle budget does. Demand misses then
-// charge full or residual (late prefetch) fill latency like the
-// reference demandAccess.
+// exactly as the reference's per-cycle budget does. The emulated prefetch
+// then enters the fill protocol both lanes share (arrive; demand and
+// fetchBlock for blocks it does not cover, in cpu.go), so hits, late
+// merges and misses are counted by the same code as in the full lane;
+// only the stall application differs (a pacing rebase here, stallUntil
+// there).
 //
 // The sampled lane is a deliberate approximation with measured error
 // bars (DESIGN.md §10; `acic-bench -sample-validate` regenerates them).
@@ -310,9 +313,10 @@ func (s *Simulator) robGate(k int) {
 }
 
 // sampledDemand consumes the sampled block access a starting at
-// instruction k: it emulates the FDP prefetch the block received when
-// the run-ahead window reached it, drives the subsystem, and charges
-// fill stalls like the reference demandAccess.
+// instruction k: it emulates the FDP prefetch the block received when the
+// run-ahead window reached it, runs the fill protocol shared with the full
+// lane (demand, arrive, fetchBlock), and charges the fill stall by
+// rebasing the fetch pacing.
 func (s *Simulator) sampledDemand(k int, a int64) {
 	if k >= s.gateIdx {
 		s.robGate(k)
@@ -323,26 +327,13 @@ func (s *Simulator) sampledDemand(k int, a int64) {
 	six := s.paceBase + s.prog.samplePace[k]
 	cycle := six / int64(s.cfg.FetchWidth)
 	s.cycle = cycle
-	if len(s.pfInFlight) > 0 {
-		// Extra-prefetcher fills (non-FDP platforms) land through the
-		// pending list, exactly when their latency has elapsed.
-		s.installReadyPrefetches()
-	}
-	if readyAt, pending := s.prefetchPending(b); pending {
-		// Late extra prefetch: install it now, charge the residual.
-		s.removeInFlight(b)
-		s.sub.PrefetchFill(b, a, cycle)
-		s.sub.Fetch(b, a, cycle)
-		s.demandMisses++
-		s.lateMisses++
-		s.sampledExtraPrefetch(b, true)
-		if readyAt > cycle {
-			s.imissStall += readyAt - cycle - 1
-			s.setFetchCycle(k, readyAt)
-		}
-		return
-	}
-	if s.cfg.UseFDP && !s.sub.Contains(b) {
+	// Extra-prefetcher fills (non-FDP platforms) land through the pending
+	// list, exactly when their latency has elapsed.
+	s.completePrefetches()
+	var ready int64
+	if _, pending := s.prefetchPending(b); pending || !s.cfg.UseFDP || s.sub.Contains(b) {
+		ready = s.demand(b, a)
+	} else {
 		// FDP covers every upcoming fetch block: the window reached this
 		// access when access a-FTQBlocks was consumed.
 		issue := six
@@ -375,106 +366,13 @@ func (s *Simulator) sampledDemand(k int, a int64) {
 			s.mshr[earliest] = s.mshr[len(s.mshr)-1]
 			s.mshr = s.mshr[:len(s.mshr)-1]
 		}
-		start := issue
-		if s.l2NextFree > start {
-			start = s.l2NextFree
-		}
-		s.l2NextFree = start + s.cfg.L2ServiceInterval
-		readyAt := start + s.hier.InstrMiss(b)
+		readyAt := s.instrFillReady(b, issue)
 		s.mshr = append(s.mshr, readyAt)
 		s.prefetches++
-		s.sub.PrefetchFill(b, a, cycle)
-		if readyAt > cycle {
-			// Late prefetch, like the reference: residual latency only.
-			s.sub.Fetch(b, a, cycle)
-			s.demandMisses++
-			s.lateMisses++
-			s.sampledExtraPrefetch(b, true)
-			s.imissStall += readyAt - cycle - 1
-			s.setFetchCycle(k, readyAt)
-			return
-		}
-		// Timely fill. The demand still misses when the scheme's
-		// admission path dropped the fill — then it pays full latency.
-		if s.sub.Fetch(b, a, cycle) {
-			s.sampledExtraPrefetch(b, false)
-			return
-		}
-		s.sampledMiss(b, k, cycle)
-		return
+		ready = s.arrive(b, a, readyAt)
 	}
-	if s.sub.Fetch(b, a, cycle) {
-		s.sampledExtraPrefetch(b, false)
-		return
-	}
-	s.sampledMiss(b, k, cycle)
-}
-
-// sampledMiss charges a full demand fill through the (sampled-scaled) L2
-// port, exactly like the reference miss path.
-func (s *Simulator) sampledMiss(b uint64, k int, cycle int64) {
-	s.demandMisses++
-	ready := s.instrFillReady(b)
-	s.sampledExtraPrefetch(b, true)
-	s.imissStall += ready - cycle - 1
-	s.setFetchCycle(k, ready)
-}
-
-// sampledIssuePrefetch starts an extra-prefetcher fill for a sampled
-// block unless redundant; false means the MSHRs are full.
-func (s *Simulator) sampledIssuePrefetch(block uint64) bool {
-	if len(s.pfInFlight) >= s.cfg.MaxPrefetches {
-		return false
-	}
-	if s.sub.Contains(block) {
-		return true
-	}
-	if _, pending := s.prefetchPending(block); pending {
-		return true
-	}
-	readyAt := s.instrFillReady(block)
-	if len(s.pfInFlight) == 0 || readyAt < s.pfNextReady {
-		s.pfNextReady = readyAt
-	}
-	s.pfInFlight = append(s.pfInFlight, inflight{block: block, readyAt: readyAt})
-	s.prefetches++
-	return true
-}
-
-// installReadyPrefetches completes pending extra-prefetcher fills whose
-// latency has elapsed. The sampled lane needs them only when a demand
-// access is about to probe the subsystem, so it runs there instead of
-// every cycle.
-func (s *Simulator) installReadyPrefetches() {
-	if s.cycle < s.pfNextReady {
-		return
-	}
-	kept := s.pfInFlight[:0]
-	nextReady := int64(1)<<62 - 1
-	for _, pf := range s.pfInFlight {
-		if pf.readyAt <= s.cycle {
-			s.sub.PrefetchFill(pf.block, s.accessIdx, s.cycle)
-		} else {
-			if pf.readyAt < nextReady {
-				nextReady = pf.readyAt
-			}
-			kept = append(kept, pf)
-		}
-	}
-	s.pfInFlight = kept
-	s.pfNextReady = nextReady
-}
-
-// sampledExtraPrefetch drives the optional table prefetcher on the
-// sampled access stream, issuing its sampled-constituency candidates.
-func (s *Simulator) sampledExtraPrefetch(block uint64, miss bool) {
-	if s.cfg.Extra == nil {
-		return
-	}
-	s.pfScratch = s.cfg.Extra.OnAccess(block, s.cycle, miss, s.pfScratch[:0])
-	for _, c := range s.pfScratch {
-		if c&s.sampleMask == s.sampleMatch {
-			s.sampledIssuePrefetch(c)
-		}
+	if ready > cycle {
+		s.imissStall += ready - cycle - 1
+		s.setFetchCycle(k, ready)
 	}
 }

@@ -13,7 +13,7 @@ import (
 
 // TestRunGangMatchesRunEverywhere is the gang differential: for two apps,
 // every registered scheme under every prefetcher platform must produce a
-// bit-identical cpu.Result through RunGang and through the serial Run
+// bit-identical cpu.Result through RunGangCells and through the serial Run
 // path. This is the contract that lets the suite group cells into gangs
 // without auditing downstream renderers.
 func TestRunGangMatchesRunEverywhere(t *testing.T) {
@@ -27,7 +27,7 @@ func TestRunGangMatchesRunEverywhere(t *testing.T) {
 		for _, pf := range Prefetchers() {
 			opts := DefaultOptions()
 			opts.Prefetcher = pf
-			gangRes, gangErrs := RunGang(w, schemes, opts)
+			gangRes, _, gangErrs := RunGangCells(w, schemeCells(schemes...), opts)
 			for i, scheme := range schemes {
 				if gangErrs[i] != nil {
 					t.Fatalf("%s/%s/%s: gang error: %v", app, scheme, pf, gangErrs[i])
@@ -36,8 +36,8 @@ func TestRunGangMatchesRunEverywhere(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s/%s: serial error: %v", app, scheme, pf, err)
 				}
-				if gangRes[i] != serial {
-					t.Errorf("%s/%s/%s: gang %+v != serial %+v", app, scheme, pf, gangRes[i], serial)
+				if gangRes[i].Result != serial {
+					t.Errorf("%s/%s/%s: gang %+v != serial %+v", app, scheme, pf, gangRes[i].Result, serial)
 				}
 			}
 		}
@@ -50,7 +50,7 @@ func TestRunGangPartialErrors(t *testing.T) {
 	prof, _ := workload.ByName("media-streaming")
 	w := Prepare(prof, 40_000)
 	opts := DefaultOptions()
-	res, errs := RunGang(w, []string{"lru", "no-such-scheme", "opt"}, opts)
+	res, _, errs := RunGangCells(w, schemeCells("lru", "no-such-scheme", "opt"), opts)
 	if errs[0] != nil || errs[2] != nil {
 		t.Fatalf("valid members errored: %v, %v", errs[0], errs[2])
 	}
@@ -61,16 +61,26 @@ func TestRunGangPartialErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res[2] != want {
-		t.Errorf("member after failed slot diverges: %+v != %+v", res[2], want)
+	if res[2].Result != want {
+		t.Errorf("member after failed slot diverges: %+v != %+v", res[2].Result, want)
 	}
 
 	badPf := DefaultOptions()
 	badPf.Prefetcher = "warp-drive"
-	_, errs = RunGang(w, []string{"lru"}, badPf)
+	_, _, errs = RunGangCells(w, schemeCells("lru"), badPf)
 	if errs[0] == nil {
 		t.Error("unknown prefetcher must error every member")
 	}
+}
+
+// schemeCells returns one gang cell per scheme, each under the gang
+// Options' prefetcher.
+func schemeCells(schemes ...string) []GangCell {
+	cells := make([]GangCell, len(schemes))
+	for i, scheme := range schemes {
+		cells[i] = GangCell{Scheme: scheme}
+	}
+	return cells
 }
 
 // gangFigSlice renders a Fig10+Fig11+Fig13 slice under the given gang

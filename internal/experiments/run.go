@@ -256,33 +256,16 @@ type GangCell struct {
 	Prefetcher string
 }
 
-// RunGang simulates several schemes over one workload in a single gang:
-// one traversal of the shared Program drives every scheme (see cpu.Gang),
-// with the members' instruction-side hierarchies carved out of contiguous
-// backing arrays. Results and errors are indexed like schemes; a scheme
-// that fails to construct (or an unknown prefetcher) reports its error in
-// errs while the remaining members still run. Each member's result is
-// bit-identical to Run(w, scheme, opts).
-func RunGang(w *Workload, schemes []string, opts Options) (results []cpu.Result, errs []error) {
-	cells := make([]GangCell, len(schemes))
-	for i, scheme := range schemes {
-		cells[i] = GangCell{Scheme: scheme}
-	}
-	cellResults, _, errs := RunGangCells(w, cells, opts)
-	results = make([]cpu.Result, len(cellResults))
-	for i, r := range cellResults {
-		results[i] = r.Result
-	}
-	return results, errs
-}
-
-// RunGangCells simulates a heterogeneous gang over one workload: members
-// may differ in prefetcher platform as well as scheme, and all advance
-// through one shared Program traversal. Results and errors are indexed
-// like cells; window reports the traversal window the gang ran under
-// (MeasuredGangWindow). Each member's result is bit-identical to
-// Run(w, cell.Scheme, opts-with-cell.Prefetcher), and probe members
-// carry the same tallies as a serial run of their cell.
+// RunGangCells simulates several cells over one workload in a single
+// gang: one traversal of the shared Program drives every member (see
+// cpu.Gang), with the members' instruction-side hierarchies carved out of
+// contiguous backing arrays. Members may differ in prefetcher platform as
+// well as scheme; a cell that fails to construct (or names an unknown
+// prefetcher) reports its error in errs while the remaining members still
+// run. Results and errors are indexed like cells; window reports the
+// traversal window the gang ran under (MeasuredGangWindow). Each member's
+// result is bit-identical to Run(w, cell.Scheme, opts-with-cell.Prefetcher),
+// and probe members carry the same tallies as a serial run of their cell.
 func RunGangCells(w *Workload, cells []GangCell, opts Options) (results []CellResult, window int, errs []error) {
 	results = make([]CellResult, len(cells))
 	errs = make([]error, len(cells))
@@ -328,9 +311,8 @@ func RunGangCells(w *Workload, cells []GangCell, opts Options) (results []CellRe
 }
 
 // RunGangSubsystems gang-simulates pre-built subsystems over the workload
-// (the building block under RunGang; use it to attach instrumentation to
-// members before the run). Results are indexed like subs; every member
-// runs under opts.Prefetcher.
+// (use it to attach instrumentation to members before the run). Results
+// are indexed like subs; every member runs under opts.Prefetcher.
 func RunGangSubsystems(w *Workload, subs []icache.Subsystem, opts Options) ([]cpu.Result, error) {
 	results, _, err := runGangMembers(w, subs, make([]string, len(subs)), opts)
 	return results, err

@@ -124,16 +124,16 @@ func TestSampledGangMatchesSerial(t *testing.T) {
 		}
 		serial[i] = r
 	}
-	gang, errs := RunGang(w, schemes, opts)
+	gang, _, errs := RunGangCells(w, schemeCells(schemes...), opts)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("%s: %v", schemes[i], err)
 		}
 	}
 	for i := range schemes {
-		if gang[i] != serial[i] {
+		if gang[i].Result != serial[i] {
 			t.Errorf("%s: gang sampled result diverges from serial:\n  gang   %+v\n  serial %+v",
-				schemes[i], gang[i], serial[i])
+				schemes[i], gang[i].Result, serial[i])
 		}
 	}
 }
