@@ -19,13 +19,9 @@ import (
 // (keys.go), because a changed digest means changed cached results.
 const laneDigest = "2bff396c71ada2da55f7dd6d2eb687a5651d6dfee9a4fd330bc306a6c7cdcc97"
 
-// laneLanes are the two simulation lanes the pin covers: the full
-// per-cycle reference and the set-sampled fast lane.
-var laneLanes = []cpu.SampleConfig{{}, {Stride: 8, Offset: 3}}
-
 // laneCells calls f for every app × prefetcher platform × scheme × lane
-// of the lane-pin grid, in a fixed order, with the cell's workload and
-// options.
+// (the full lane and the set-sampled lane at stride 8) of the lane-pin
+// grid, in a fixed order, with the cell's workload and options.
 func laneCells(t *testing.T, f func(name string, w *Workload, scheme string, opts Options)) {
 	t.Helper()
 	for _, app := range []string{"web-search", "media-streaming"} {
@@ -36,7 +32,7 @@ func laneCells(t *testing.T, f func(name string, w *Workload, scheme string, opt
 		w := Prepare(prof, 60_000)
 		for _, pf := range Prefetchers() {
 			for _, scheme := range SchemeNames() {
-				for _, lane := range laneLanes {
+				for _, lane := range []cpu.SampleConfig{{}, {Stride: 8, Offset: 3}} {
 					opts := DefaultOptions()
 					opts.Prefetcher = pf
 					opts.Sample = lane
