@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"sort"
 	"strings"
 	"sync"
@@ -274,36 +275,16 @@ func (s *server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte(out))
 }
 
-// handleCells answers grid cell queries. app and scheme are required,
-// comma-separated lists ("all" expands app to the suite's app list and
-// scheme to every registered scheme); prefetcher defaults to fdp. The
-// full cross product is computed as ONE Require batch, so once the trace
-// is long enough same-app cells ride shared gangs — a client asking for
-// ten schemes of one app pays one Program traversal, exactly like the
-// CLI grid.
+// handleCells answers grid cell queries (parseCellsQuery). The full
+// cross product is computed as ONE Require batch, so once the trace is
+// long enough same-app cells ride shared gangs — a client asking for ten
+// schemes of one app pays one Program traversal, exactly like the CLI
+// grid.
 func (s *server) handleCells(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	apps, schemes, pfs := q.Get("app"), q.Get("scheme"), q.Get("prefetcher")
-	if apps == "" || schemes == "" {
-		api.WriteError(w, http.StatusBadRequest, &api.Error{
-			Code: api.CodeBadRequest, Message: "app and scheme query parameters are required (comma-separated; 'all' expands)"})
+	cells, apiErr := parseCellsQuery(r.URL.Query(), s.suite.AppNames())
+	if apiErr != nil {
+		api.WriteError(w, http.StatusBadRequest, apiErr)
 		return
-	}
-	appList := splitParam(apps)
-	if apps == "all" {
-		appList = s.suite.AppNames()
-	}
-	schemeList := splitParam(schemes)
-	if schemes == "all" {
-		schemeList = experiments.SchemeNames()
-	}
-	pfList := splitParam(pfs)
-	if pfs == "" {
-		pfList = []string{"fdp"}
-	}
-	var cells []experiments.Cell
-	for _, pf := range pfList {
-		cells = append(cells, experiments.CrossCells(appList, schemeList, pf)...)
 	}
 
 	// ETag over the sorted cell key set: the keys are content addresses,
@@ -385,6 +366,47 @@ func (s *server) withinFaultBudget(w http.ResponseWriter, recoveredBefore int64)
 		Code: api.CodeFaultBudget, Transient: true,
 		Message: fmt.Sprintf("request consumed %d fault recoveries (budget %d)", spent, s.faultBudget)})
 	return false
+}
+
+// parseCellsQuery expands a /v1/cells query into its cell batch. app and
+// scheme are required, comma-separated lists ("all" expands app to apps
+// and scheme to every registered scheme); prefetcher defaults to fdp.
+// Every list must name at least one entry. Only simulation cells are
+// served: an analysis cell carries no cpu.Result, so naming its scheme is
+// a bad request.
+func parseCellsQuery(q url.Values, apps []string) ([]experiments.Cell, *api.Error) {
+	appParam, schemeParam, pfParam := q.Get("app"), q.Get("scheme"), q.Get("prefetcher")
+	if appParam == "" || schemeParam == "" {
+		return nil, &api.Error{Code: api.CodeBadRequest,
+			Message: "app and scheme query parameters are required (comma-separated; 'all' expands)"}
+	}
+	appList := splitParam(appParam)
+	if appParam == "all" {
+		appList = apps
+	}
+	schemeList := splitParam(schemeParam)
+	if schemeParam == "all" {
+		schemeList = experiments.SchemeNames()
+	}
+	pfList := splitParam(pfParam)
+	if pfParam == "" {
+		pfList = []string{"fdp"}
+	}
+	if len(appList) == 0 || len(schemeList) == 0 || len(pfList) == 0 {
+		return nil, &api.Error{Code: api.CodeBadRequest,
+			Message: "app, scheme and prefetcher lists must each name at least one entry"}
+	}
+	for _, sch := range schemeList {
+		if !(experiments.Cell{Scheme: sch}).Simulates() {
+			return nil, &api.Error{Code: api.CodeBadRequest,
+				Message: fmt.Sprintf("scheme %q is not a simulation; /v1/cells serves simulation results only", sch)}
+		}
+	}
+	var cells []experiments.Cell
+	for _, pf := range pfList {
+		cells = append(cells, experiments.CrossCells(appList, schemeList, pf)...)
+	}
+	return cells, nil
 }
 
 func splitParam(s string) []string {

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	neturl "net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -416,6 +418,8 @@ func TestServeErrorEnvelopes(t *testing.T) {
 		{http.MethodGet, "/v1/figures/no-such-figure", http.StatusNotFound, api.CodeNotFound},
 		{http.MethodGet, "/v1/cells", http.StatusBadRequest, api.CodeBadRequest},
 		{http.MethodGet, "/v1/cells?scheme=lru", http.StatusBadRequest, api.CodeBadRequest},
+		{http.MethodGet, "/v1/cells?app=all&scheme=" + experiments.AnalysisScheme, http.StatusBadRequest, api.CodeBadRequest},
+		{http.MethodGet, "/v1/cells?app=,&scheme=lru", http.StatusBadRequest, api.CodeBadRequest},
 		{http.MethodPost, "/v1/experiments", http.StatusMethodNotAllowed, api.CodeMethodNotAllowed},
 		{http.MethodGet, "/api/config", http.StatusNotFound, api.CodeNotFound},
 		{http.MethodGet, "/", http.StatusNotFound, api.CodeNotFound},
@@ -437,6 +441,83 @@ func TestServeErrorEnvelopes(t *testing.T) {
 			t.Errorf("%s %s code = %+v, want %s", tc.method, tc.path, env.Err, tc.wantCode)
 		}
 	}
+}
+
+// TestServeCellsRejectsAnalysis: an analysis cell has no cpu.Result, so
+// /v1/cells refuses its scheme by name, alone or inside a list, without
+// computing anything; scheme=all still expands to the simulation schemes.
+func TestServeCellsRejectsAnalysis(t *testing.T) {
+	srv, url := newTestServer(t, nil, 0)
+	for _, q := range []string{"app=" + testApp + "&scheme=" + experiments.AnalysisScheme,
+		"app=all&scheme=lru," + experiments.AnalysisScheme + "&prefetcher=none"} {
+		resp := get(t, url+"/v1/cells?"+q)
+		var env api.Envelope
+		if err := json.Unmarshal([]byte(body(t, resp)), &env); err != nil {
+			t.Fatalf("%s: body is not an envelope: %v", q, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || env.Err == nil || env.Err.Code != api.CodeBadRequest ||
+			!strings.Contains(env.Err.Message, strconv.Quote(experiments.AnalysisScheme)) {
+			t.Errorf("%s = %d %+v, want 400 bad_request naming %q", q, resp.StatusCode, env.Err, experiments.AnalysisScheme)
+		}
+	}
+	if computed, _, _ := srv.suite.Stats(); computed != 0 {
+		t.Errorf("rejected queries computed %d cells", computed)
+	}
+
+	cells, apiErr := parseCellsQuery(neturl.Values{"app": {"all"}, "scheme": {"all"}}, srv.suite.AppNames())
+	if apiErr != nil {
+		t.Fatal(apiErr)
+	}
+	if want := len(srv.suite.AppNames()) * len(experiments.SchemeNames()); len(cells) != want {
+		t.Errorf("scheme=all&app=all expands to %d cells, want %d", len(cells), want)
+	}
+}
+
+// FuzzCellsQuery drives /v1/cells query parsing with arbitrary query
+// strings: a refused query is a bad_request with a message, and an
+// accepted one is the full, non-empty cross product of its lists with
+// every coordinate trimmed and non-empty and no analysis cell in it.
+func FuzzCellsQuery(f *testing.F) {
+	f.Add("app=media-streaming&scheme=lru,acic&prefetcher=fdp,entangling")
+	f.Add("app=all&scheme=all")
+	f.Add("app=all&scheme=analysis")
+	f.Add("app=,&scheme=lru")
+	f.Add("app=sibench&scheme=lru&prefetcher=%2C")
+	apps := []string{testApp, testApp2}
+	f.Fuzz(func(t *testing.T, raw string) {
+		q, _ := neturl.ParseQuery(raw) // what r.URL.Query() does
+		cells, apiErr := parseCellsQuery(q, apps)
+		if apiErr != nil {
+			if apiErr.Code != api.CodeBadRequest || apiErr.Message == "" || cells != nil {
+				t.Fatalf("%q: refused with %+v and %d cells", raw, apiErr, len(cells))
+			}
+			return
+		}
+		count := func(key string, all []string, dflt int) int {
+			v := q.Get(key)
+			switch {
+			case v == "all" && all != nil:
+				return len(all)
+			case v == "":
+				return dflt
+			}
+			return len(splitParam(v))
+		}
+		want := count("app", apps, 0) * count("scheme", experiments.SchemeNames(), 0) * count("prefetcher", nil, 1)
+		if want == 0 || len(cells) != want {
+			t.Fatalf("%q: accepted %d cells, want the %d-cell cross product", raw, len(cells), want)
+		}
+		for _, c := range cells {
+			for _, v := range []string{c.App, c.Scheme, c.Prefetcher} {
+				if v == "" || v != strings.TrimSpace(v) || strings.Contains(v, ",") {
+					t.Fatalf("%q: accepted malformed cell %s", raw, c)
+				}
+			}
+			if !c.Simulates() {
+				t.Fatalf("%q: accepted non-simulation cell %s", raw, c)
+			}
+		}
+	})
 }
 
 // TestServeHealthzAndStats: the two observability endpoints answer with

@@ -15,33 +15,38 @@ import "sort"
 // sequence at each candidate capacity (in blocks). Capacities are treated
 // as given; pass them in ascending order for a readable curve.
 func MissRatioCurve(blocks []uint64, capacities []int) []float64 {
-	return missRatioFromDists(ReuseDistances(blocks), capacities)
+	dists := ReuseDistances(blocks)
+	return MissRatios(CapacityHits(dists, capacities), uint64(len(dists)))
 }
 
-// missRatioFromDists is MissRatioCurve over precomputed (possibly
-// estimated) stack distances.
-func missRatioFromDists(dists []int64, capacities []int) []float64 {
-	// Histogram the finite distances once, then answer every capacity by
-	// prefix sum.
-	sorted := make([]int64, 0, len(dists))
-	infinite := 0
+// CapacityHits counts, per capacity, the accesses a fully-associative LRU
+// cache of that many blocks hits: those whose (possibly estimated) stack
+// distance is below the capacity.
+func CapacityHits(dists []int64, capacities []int) []uint64 {
+	hits := make([]uint64, len(capacities))
 	for _, d := range dists {
 		if d == InfiniteDistance {
-			infinite++
 			continue
 		}
-		sorted = append(sorted, d)
+		for i, c := range capacities {
+			if d < int64(c) {
+				hits[i]++
+			}
+		}
 	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	out := make([]float64, len(capacities))
-	n := float64(len(dists))
+	return hits
+}
+
+// MissRatios turns per-capacity hit counts over accesses into miss
+// ratios (all zeros for an empty sequence).
+func MissRatios(hits []uint64, accesses uint64) []float64 {
+	out := make([]float64, len(hits))
+	n := float64(accesses)
 	if n == 0 {
 		return out
 	}
-	for i, c := range capacities {
-		// Hits = accesses with stack distance < c.
-		hits := sort.Search(len(sorted), func(k int) bool { return sorted[k] >= int64(c) })
-		out[i] = (n - float64(hits)) / n
+	for i, h := range hits {
+		out[i] = (n - float64(h)) / n
 	}
 	return out
 }

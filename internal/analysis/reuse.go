@@ -97,17 +97,23 @@ func BucketIndex(d int64, edges []int64) int {
 	return len(edges)
 }
 
-// Distribution buckets reuse distances into the given edges (plus overflow)
-// and returns per-bucket fractions over all finite-distance accesses.
-func Distribution(dists []int64, edges []int64) []float64 {
+// BucketCounts buckets the finite reuse distances into the given edges
+// (plus overflow); first accesses are folded out.
+func BucketCounts(dists []int64, edges []int64) []uint64 {
 	counts := make([]uint64, len(edges)+1)
-	var total uint64
 	for _, d := range dists {
-		if d == InfiniteDistance {
-			continue
+		if d != InfiniteDistance {
+			counts[BucketIndex(d, edges)]++
 		}
-		counts[BucketIndex(d, edges)]++
-		total++
+	}
+	return counts
+}
+
+// Fractions normalizes counts by their sum (all zeros when the sum is 0).
+func Fractions(counts []uint64) []float64 {
+	var total uint64
+	for _, c := range counts {
+		total += c
 	}
 	out := make([]float64, len(counts))
 	if total == 0 {
@@ -119,16 +125,28 @@ func Distribution(dists []int64, edges []int64) []float64 {
 	return out
 }
 
+// Distribution buckets reuse distances into the given edges (plus overflow)
+// and returns per-bucket fractions over all finite-distance accesses.
+func Distribution(dists []int64, edges []int64) []float64 {
+	return Fractions(BucketCounts(dists, edges))
+}
+
 // MarkovChain counts transitions between consecutive reuse-distance buckets
 // of the same block (Fig 1b). Row i gives the conditional distribution of
 // the next reuse-distance bucket, given the current access's bucket is i.
 func MarkovChain(blocks []uint64, edges []int64) [][]float64 {
-	return markovFromDists(blocks, ReuseDistances(blocks), edges)
+	counts := TransitionCounts(blocks, ReuseDistances(blocks), edges)
+	out := make([][]float64, len(counts))
+	for i, row := range counts {
+		out[i] = Fractions(row)
+	}
+	return out
 }
 
-// markovFromDists is MarkovChain over precomputed (possibly estimated)
-// distances aligned with blocks.
-func markovFromDists(blocks []uint64, dists []int64, edges []int64) [][]float64 {
+// TransitionCounts tallies, over precomputed (possibly estimated)
+// distances aligned with blocks, each block's move from the bucket of one
+// finite-distance access to the bucket of its next: counts[from][to].
+func TransitionCounts(blocks []uint64, dists []int64, edges []int64) [][]uint64 {
 	n := len(edges) + 1
 	counts := make([][]uint64, n)
 	for i := range counts {
@@ -145,21 +163,7 @@ func markovFromDists(blocks []uint64, dists []int64, edges []int64) [][]float64 
 		}
 		prevBucket[b] = cur
 	}
-	out := make([][]float64, n)
-	for i := range counts {
-		out[i] = make([]float64, n)
-		var row uint64
-		for _, c := range counts[i] {
-			row += c
-		}
-		if row == 0 {
-			continue
-		}
-		for j, c := range counts[i] {
-			out[i][j] = float64(c) / float64(row)
-		}
-	}
-	return out
+	return counts
 }
 
 // BurstStats summarizes the burstiness of accesses to instruction blocks:

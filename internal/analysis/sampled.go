@@ -23,16 +23,19 @@ func SampleRefs(blocks []uint64, f cache.SampleFilter) []uint64 {
 	return out
 }
 
-// SampledReuseDistances estimates the LRU stack distances of the sampled
-// accesses: the unique blocks observed between consecutive uses within
+// SampledReuse returns the sampled accesses and their estimated LRU stack
+// distances: the unique blocks observed between consecutive uses within
 // the sampled constituencies, scaled by the stride (unique blocks are
 // spread uniformly over constituencies, so sampled-unique × stride is an
 // unbiased estimate of true uniques). Distance 0 — the dominant
 // same-block spatial bucket — is preserved exactly for runs with no
-// intervening sampled block. With the zero filter this is exactly
-// ReuseDistances.
-func SampledReuseDistances(blocks []uint64, f cache.SampleFilter) []int64 {
-	dists := ReuseDistances(SampleRefs(blocks, f))
+// intervening sampled block. The distances align with the returned
+// references, so bucket counts (BucketCounts), Fig 1b transitions
+// (TransitionCounts) and miss-ratio curves (CapacityHits) all derive from
+// one pass. With the zero filter this is (blocks, ReuseDistances(blocks)).
+func SampledReuse(blocks []uint64, f cache.SampleFilter) ([]uint64, []int64) {
+	refs := SampleRefs(blocks, f)
+	dists := ReuseDistances(refs)
 	if f.Enabled() {
 		scale := int64(f.Stride())
 		for i, d := range dists {
@@ -41,32 +44,5 @@ func SampledReuseDistances(blocks []uint64, f cache.SampleFilter) []int64 {
 			}
 		}
 	}
-	return dists
-}
-
-// SampledMissRatioCurve estimates the fully-associative LRU miss-ratio
-// curve from the sampled constituencies (cf. MissRatioCurve): an access
-// hits a capacity-C cache iff its estimated stack distance is below C.
-func SampledMissRatioCurve(blocks []uint64, capacities []int, f cache.SampleFilter) []float64 {
-	if !f.Enabled() {
-		return MissRatioCurve(blocks, capacities)
-	}
-	return missRatioFromDists(SampledReuseDistances(blocks, f), capacities)
-}
-
-// SampledMarkovChain estimates the Fig 1b reuse-distance Markov chain
-// from the sampled constituencies, bucketing the scaled distances.
-func SampledMarkovChain(blocks []uint64, edges []int64, f cache.SampleFilter) [][]float64 {
-	if !f.Enabled() {
-		return MarkovChain(blocks, edges)
-	}
-	refs := SampleRefs(blocks, f)
-	dists := ReuseDistances(refs)
-	scale := int64(f.Stride())
-	for i, d := range dists {
-		if d != InfiniteDistance {
-			dists[i] = d * scale
-		}
-	}
-	return markovFromDists(refs, dists, edges)
+	return refs, dists
 }

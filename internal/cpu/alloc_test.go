@@ -15,7 +15,7 @@ import (
 )
 
 // TestSteadyStateZeroAllocs pins the zero-allocation property of the
-// simulation hot path: once warm, one simulated cycle — demand fetches,
+// simulation hot path: once warm, simulated cycles — demand fetches,
 // prefetch fills, policy updates, admission decisions, data-side hierarchy
 // accesses — must not touch the heap, for every scheme family with
 // per-block state (flat tables, carried next-use metadata, reusable access
@@ -81,24 +81,29 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		},
 	}
 
+	// steadyAllocs warms s to the middle of the trace and reports the
+	// allocations per 1024-instruction advance. AllocsPerRun truncates to
+	// whole allocations per run, so each run covers many cycles: an
+	// allocation per prefetch completion or per miss still shows, where a
+	// single-cycle run would average it away.
+	steadyAllocs := func(t *testing.T, s *Simulator) float64 {
+		t.Helper()
+		s.start(0)
+		bound := n / 2
+		if s.runTo(bound) {
+			t.Fatal("trace too short to measure steady state")
+		}
+		return testing.AllocsPerRun(40, func() {
+			bound += 1024
+			s.runTo(bound)
+		})
+	}
+
 	for name, mk := range subsystems {
 		t.Run(name, func(t *testing.T) {
 			s := NewSimulator(DefaultConfig(), NewProgram(tr, ann), mk(), mem.New(mem.DefaultConfig()))
-			// Warm to steady state: structures reach their high-water
-			// capacities within the first three quarters of the trace.
-			for !s.done() && s.instructions < 3*n/4 {
-				s.step()
-			}
-			if s.done() {
-				t.Fatal("trace too short to measure steady state")
-			}
-			allocs := testing.AllocsPerRun(2000, func() {
-				if !s.done() {
-					s.step()
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("%s: steady-state cycle allocates %.2f times", name, allocs)
+			if allocs := steadyAllocs(t, s); allocs != 0 {
+				t.Errorf("%s: steady-state advance allocates %.2f times", name, allocs)
 			}
 		})
 	}
@@ -157,20 +162,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 			ic.ACIC = &cc
 			ic.Sample = sample.Filter()
 			s := NewSimulator(cfg, NewProgram(tr, ann), icache.MustNew(ic), mem.New(mem.DefaultConfig()))
-			s.start(0)
-			bound := n / 2
-			if s.runTo(bound) {
-				t.Fatalf("%s: trace too short to measure sampled steady state", pf)
-			}
-			// AllocsPerRun truncates to whole allocations per run, and the
-			// lane touches one access in eight: each run advances 1024
-			// instructions so an allocation per prefetch completion or per
-			// sampled miss still shows.
-			allocs := testing.AllocsPerRun(40, func() {
-				bound += 1024
-				s.runTo(bound)
-			})
-			if allocs != 0 {
+			if allocs := steadyAllocs(t, s); allocs != 0 {
 				t.Errorf("sampled/%s: steady-state advance allocates %.2f times", pf, allocs)
 			}
 		}

@@ -75,16 +75,7 @@ var HeadroomCapacities = []int{256, 512, 576, 1024, 2048, 4096}
 // discretion (ACIC) beats capacity (the paper's §IV-F argument).
 func (s *Suite) Headroom() (*stats.Table, error) {
 	apps := s.AppNames()
-	if err := s.PrepareAll(apps...); err != nil {
-		return nil, err
-	}
-	curves := make([][]float64, len(apps))
-	err := s.each(len(apps), func(i int) error {
-		w := s.wl(apps[i])
-		curves[i] = analysis.SampledMissRatioCurve(w.Blocks, HeadroomCapacities, s.sampleFilter(apps[i]))
-		return nil
-	})
-	if err != nil {
+	if err := s.Require(analysisCells(apps)...); err != nil {
 		return nil, err
 	}
 	hdr := []string{"app"}
@@ -92,9 +83,10 @@ func (s *Suite) Headroom() (*stats.Table, error) {
 		hdr = append(hdr, fmt.Sprintf("%dKB", c*trace.BlockSize/1024))
 	}
 	t := &stats.Table{Header: hdr}
-	for i, app := range apps {
+	for _, app := range apps {
+		a := s.analysisOf(app)
 		cells := []any{app}
-		for _, m := range curves[i] {
+		for _, m := range analysis.MissRatios(a.Hits, a.Accesses) {
 			cells = append(cells, stats.Percent(m))
 		}
 		t.AddRow(cells...)

@@ -8,38 +8,30 @@ import (
 )
 
 // The renderers in this file all follow the engine's plan → execute →
-// render shape: first declare the simulation cells the artifact needs
-// (Require, executed in parallel with deduplication, caching, gangs and
-// remote workers), then render from completed results in paper order.
-// Every simulation is a cell: the Fig 15 configuration variants are
+// render shape: first declare the cells the artifact needs (Require,
+// executed in parallel with deduplication, caching, gangs and remote
+// workers), then render from completed results in paper order. Every
+// simulation is a cell: the Fig 15 configuration variants are
 // "acic@<variant>" schemes, and the instrumented runs of the mechanism
 // figures (3b, 6, 12a, 13) are probe cells whose integer tallies are
-// cached with their results (probes.go). Only the non-simulation analyses
-// (Fig 1a's reuse distances, ext-headroom's miss-ratio curve) fan out over
-// the worker pool directly via s.each.
+// cached with their results (probes.go). The trace analyses behind
+// Fig 1a, Fig 1b and ext-headroom are one analysis cell per app
+// (analyses.go), so every figure renders from the result store.
+
+// fig1aLabels name the Fig 1a reuse-distance buckets (analysis.Fig1aEdges
+// plus overflow).
+var fig1aLabels = []string{"0", "1-16", "16-512", "512-1024", "1024-10000", ">10000"}
 
 // Fig1a returns the per-app reuse-distance distributions at instruction
 // granularity (buckets 0, 1-16, 16-512, 512-1024, 1024-10000, >10000).
 func (s *Suite) Fig1a() (*stats.Table, error) {
 	apps := s.AppNames()
-	if err := s.PrepareAll(apps...); err != nil {
+	if err := s.Require(analysisCells(apps)...); err != nil {
 		return nil, err
 	}
-	rows := make([][6]float64, len(apps))
-	err := s.each(len(apps), func(i int) error {
-		w := s.wl(apps[i])
-		refs := w.Prog.BlockRefs()
-		dists := analysis.SampledReuseDistances(refs, s.sampleFilter(apps[i]))
-		fr := analysis.Distribution(dists, analysis.Fig1aEdges)
-		copy(rows[i][:], fr)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	t := &stats.Table{Header: []string{"app", "0", "1-16", "16-512", "512-1024", "1024-10000", ">10000"}}
-	for i, app := range apps {
-		fr := rows[i]
+	t := &stats.Table{Header: append([]string{"app"}, fig1aLabels...)}
+	for _, app := range apps {
+		fr := analysis.Fractions(s.analysisOf(app).Reuse)
 		t.AddRow(app, stats.Percent(fr[0]), stats.Percent(fr[1]), stats.Percent(fr[2]),
 			stats.Percent(fr[3]), stats.Percent(fr[4]), stats.Percent(fr[5]))
 	}
@@ -49,18 +41,14 @@ func (s *Suite) Fig1a() (*stats.Table, error) {
 // Fig1b returns the Markov chain of reuse-distance buckets for the named
 // app (media-streaming in the paper).
 func (s *Suite) Fig1b(app string) (*stats.Table, error) {
-	w, err := s.Workload(app)
-	if err != nil {
+	if err := s.Require(analysisCell(app)); err != nil {
 		return nil, err
 	}
-	refs := w.Prog.BlockRefs()
-	chain := analysis.SampledMarkovChain(refs, analysis.Fig1aEdges, s.sampleFilter(app))
-	labels := []string{"0", "1-16", "16-512", "512-1024", "1024-10000", ">10000"}
-	t := &stats.Table{Header: append([]string{"from\\to"}, labels...)}
-	for i, row := range chain {
+	t := &stats.Table{Header: append([]string{"from\\to"}, fig1aLabels...)}
+	for i, row := range s.analysisOf(app).Transitions {
 		cells := make([]any, 0, len(row)+1)
-		cells = append(cells, labels[i])
-		for _, p := range row {
+		cells = append(cells, fig1aLabels[i])
+		for _, p := range analysis.Fractions(row) {
 			cells = append(cells, fmt.Sprintf("%.3f", p))
 		}
 		t.AddRow(cells...)

@@ -25,13 +25,15 @@ import (
 // counted like any other cell.
 
 // CellResult is the value a cell produces and the result cache stores:
-// the simulation result plus, for probe cells, the probe's tallies. The
-// Result is embedded, so a plain cell's entry (nil Probe, omitted)
-// encodes byte-identically to a bare cpu.Result and stores written before
-// probes existed read back unchanged.
+// the simulation result plus, for probe cells, the probe's tallies, or,
+// for an app's analysis cell (analyses.go), only the analysis tallies.
+// The Result is embedded, so a plain cell's entry (nil Probe and
+// Analysis, both omitted) encodes byte-identically to a bare cpu.Result
+// and stores written before probes existed read back unchanged.
 type CellResult struct {
 	cpu.Result
-	Probe *Probe `json:",omitempty"`
+	Probe    *Probe    `json:",omitempty"`
+	Analysis *Analysis `json:",omitempty"`
 }
 
 // Probe holds the integer tallies a probe cell records; each probe fills

@@ -44,8 +44,8 @@ func CrossCells(apps, schemes []string, prefetcher string) []Cell {
 // memoized with per-key singleflight and executed on a bounded worker
 // pool, so figures sharing runs (Fig 10/11/13/16, ...) pay for each
 // simulation once and independent cells run in parallel. Renderers first
-// declare their cell set (Require / PrepareAll) and then read completed
-// results, which keeps output byte-identical across worker counts.
+// declare their cell set (Require) and then read completed results, which
+// keeps output byte-identical across worker counts.
 //
 // Configure the exported fields before the first figure call; they are
 // frozen once the engine spins up.
@@ -291,9 +291,9 @@ func (s *Suite) ctxErr() error {
 	return s.Context.Err()
 }
 
-// computeCell runs one simulation cell. Cells that have not started when
-// the suite's Context is cancelled fail with the context error instead of
-// simulating.
+// computeCell runs one cell: a simulation, or the app's analysis cell
+// (analyses.go). Cells that have not started when the suite's Context is
+// cancelled fail with the context error instead of running.
 func (s *Suite) computeCell(c Cell) (CellResult, error) {
 	if err := s.ctxErr(); err != nil {
 		return CellResult{}, err
@@ -301,6 +301,9 @@ func (s *Suite) computeCell(c Cell) (CellResult, error) {
 	w, err := s.pipeline.Workload(c.App)
 	if err != nil {
 		return CellResult{}, err
+	}
+	if !c.Simulates() {
+		return s.computeAnalysis(c, w)
 	}
 	opts := s.options(c.App)
 	opts.Prefetcher = c.Prefetcher
@@ -343,16 +346,6 @@ func (s *Suite) Workload(app string) (*Workload, error) {
 	return s.pipeline.Workload(app)
 }
 
-// wl returns an already-validated workload; renderers call it after a
-// successful PrepareAll/Require, at which point failure is a logic error.
-func (s *Suite) wl(app string) *Workload {
-	w, err := s.Workload(app)
-	if err != nil {
-		panic(err)
-	}
-	return w
-}
-
 // Require plans and executes the given cells: duplicates (within the batch
 // and against earlier work) are executed once, the rest run in parallel on
 // the worker pool. When the suite gangs (GangWidth > 0) the batch's new
@@ -385,6 +378,9 @@ func (s *Suite) submitGangs(cells []Cell) {
 	claimed := make(map[string][]Cell)
 	var order []string
 	for _, c := range cells {
+		if !c.Simulates() {
+			continue // RunGangCells cannot build it; results.Require computes it
+		}
 		if !s.results.TryClaim(c) {
 			continue // computed, in flight, or a duplicate within the batch
 		}
@@ -580,25 +576,27 @@ func (s *Suite) Result(app, scheme, prefetcher string) (cpu.Result, error) {
 	return r.Result, err
 }
 
-// res returns an already-planned result; renderers call it after a
-// successful Require, at which point failure is a logic error.
-func (s *Suite) res(app, scheme, prefetcher string) cpu.Result {
-	r, err := s.Result(app, scheme, prefetcher)
+// planned returns an already-planned cell's result; renderers call it
+// after a successful Require, at which point failure is a logic error.
+func (s *Suite) planned(c Cell) CellResult {
+	s.init()
+	r, err := s.results.Get(c)
 	if err != nil {
 		panic(err)
 	}
 	return r
 }
 
+// res returns an already-planned simulation result.
+func (s *Suite) res(app, scheme, prefetcher string) cpu.Result {
+	return s.planned(Cell{App: app, Scheme: scheme, Prefetcher: prefetcher}).Result
+}
+
 // probe returns an already-planned probe cell's tallies under the FDP
-// platform (the one the mechanism figures measure); renderers call it
-// after a successful Require, at which point a missing probe is a logic
-// error.
+// platform (the one the mechanism figures measure); a missing probe is a
+// logic error.
 func (s *Suite) probe(app, scheme string) *Probe {
-	r, err := s.results.Get(Cell{App: app, Scheme: scheme, Prefetcher: "fdp"})
-	if err != nil {
-		panic(err)
-	}
+	r := s.planned(Cell{App: app, Scheme: scheme, Prefetcher: "fdp"})
 	if r.Probe == nil {
 		panic(fmt.Sprintf("experiments: cell %s|%s|fdp carries no probe", app, scheme))
 	}
@@ -627,15 +625,6 @@ func (s *Suite) MPKIReductionOver(app, base, scheme, prefetcher string) (float64
 
 func (s *Suite) mpkiReductionOver(app, base, scheme, prefetcher string) float64 {
 	return MPKIReduction(s.res(app, base, prefetcher), s.res(app, scheme, prefetcher))
-}
-
-// each runs fn(0..n-1) on the worker pool and waits; it powers the
-// non-simulation per-app analyses (Fig 1a, ext-headroom) — every
-// simulation is a Cell. Results must be written to index-addressed slots
-// so rendering order stays deterministic.
-func (s *Suite) each(n int, fn func(i int) error) error {
-	s.init()
-	return s.pool.Each(n, fn)
 }
 
 // CacheError reports whether a persistent store requested via CacheDir or
